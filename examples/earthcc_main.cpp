@@ -273,6 +273,14 @@ int main(int argc, char **argv) {
     SO.Service.CacheBudgetBytes = CacheMB << 20;
     SO.BaseCompile = CReq; // process-wide defaults under each request
     SO.BaseRun = RReq;
+    // Unsynced standard streams: std::getline scans a buffered get area
+    // filled by one read(2) per chunk instead of making three locked stdio
+    // calls per byte (DESIGN.md section 13), and each flushed response
+    // line is one write(2). The serve loop's response mutex serializes
+    // every write to std::cout. sync_with_stdio(false) must come before
+    // any I/O on the standard streams, and none has happened yet.
+    std::ios::sync_with_stdio(false);
+    std::cin.tie(nullptr);
     runServeLoop(std::cin, std::cout, SO);
     if (!MetricsMode.empty())
       emitMetrics(MetricsMode);

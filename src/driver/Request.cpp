@@ -6,6 +6,7 @@
 
 #include "driver/Request.h"
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 
@@ -24,27 +25,53 @@ namespace {
 /// equal iff they were produced by the same schema from identical fields.
 class KeyWriter {
 public:
-  explicit KeyWriter(const char *Tag) { Bytes += std::string(Tag) + ";"; }
+  /// \p Reserve is the size of any large text field (the source), so every
+  /// record appends in place without regrowing the buffer; the fixed
+  /// records of either key fit in the 640 bytes on top.
+  explicit KeyWriter(const char *Tag, size_t Reserve = 0) {
+    Bytes.reserve(Reserve + 640);
+    Bytes += Tag;
+    Bytes += ';';
+  }
 
   void boolean(const char *Name, bool V) {
-    Bytes += std::string(Name) + "=" + (V ? "1" : "0") + ";";
+    open(Name);
+    Bytes += V ? '1' : '0';
+    Bytes += ';';
   }
   void integer(const char *Name, uint64_t V) {
-    Bytes += std::string(Name) + "=" + std::to_string(V) + ";";
+    open(Name);
+    decimal(V);
+    Bytes += ';';
   }
   void real(const char *Name, double V) {
     char Buf[40];
-    std::snprintf(Buf, sizeof(Buf), "%.17g", V);
-    Bytes += std::string(Name) + "=" + Buf + ";";
+    int N = std::snprintf(Buf, sizeof(Buf), "%.17g", V);
+    open(Name);
+    Bytes.append(Buf, static_cast<size_t>(N));
+    Bytes += ';';
   }
-  void text(const char *Name, const std::string &V) {
-    Bytes += std::string(Name) + "=" + std::to_string(V.size()) + ":" + V +
-             ";";
+  void text(const char *Name, std::string_view V) {
+    open(Name);
+    decimal(V.size());
+    Bytes += ':';
+    Bytes += V;
+    Bytes += ';';
   }
 
   std::string take() { return std::move(Bytes); }
 
 private:
+  void open(const char *Name) {
+    Bytes += Name;
+    Bytes += '=';
+  }
+  void decimal(uint64_t V) {
+    char Buf[24];
+    char *End = std::to_chars(Buf, Buf + sizeof(Buf), V).ptr;
+    Bytes.append(Buf, End);
+  }
+
   std::string Bytes;
 };
 
@@ -80,7 +107,7 @@ CompileRequest CompileRequest::optimized(std::string Source) {
 }
 
 std::string CompileRequest::keyBytes() const {
-  KeyWriter W("earthcc-compile-v1");
+  KeyWriter W("earthcc-compile-v1", Source.size());
   W.boolean("optimize", Optimize);
   W.boolean("locality", InferLocality);
   W.boolean("read-motion", Comm.EnableReadMotion);

@@ -153,9 +153,10 @@ void CompileService::submitRun(CompileRequest CReq, RunRequest RReq,
 CompileResponse CompileService::handleCompile(const CompileRequest &Req) {
   double Start = nowNs();
   CompileResponse Resp;
-  Resp.Key = Req.keyHex();
   bool Hit = false;
-  std::shared_ptr<const CompiledArtifact> Art = getOrCompile(Req, Hit);
+  std::shared_ptr<const CompiledArtifact> Art =
+      getOrCompile(Req, Req.keyBytes(), Hit);
+  Resp.Key = Art->KeyHex;
   Resp.OK = Art->OK;
   Resp.Messages = Art->Messages;
   Resp.CacheHit = Hit;
@@ -174,11 +175,11 @@ RunResponse CompileService::handleRun(const CompileRequest &CReq,
   bool Hit = false, CompileHit = false;
   std::shared_ptr<const CompiledArtifact> Art;
   std::shared_ptr<const SimArtifact> Sim =
-      getOrRun(CReq, RReq, Hit, CompileHit, Art);
+      getOrRun(CReq, CReq.keyBytes(), RReq, Hit, CompileHit, Art);
   Resp.OK = Sim->OK;
   Resp.Error = Sim->Error;
   Resp.Key = Sim->KeyHex;
-  Resp.CompileKey = Art ? Art->KeyHex : CReq.keyHex();
+  Resp.CompileKey = Art->KeyHex;
   Resp.CacheHit = Hit;
   Resp.CompileCacheHit = CompileHit;
   Resp.Sim = std::move(Sim);
@@ -213,9 +214,9 @@ RunResponse CompileService::handleRun(const CompileRequest &CReq,
 // points at tasks that are currently on a worker, never at queued work.
 
 std::shared_ptr<const CompiledArtifact>
-CompileService::getOrCompile(const CompileRequest &Req, bool &Hit) {
+CompileService::getOrCompile(const CompileRequest &Req,
+                             const std::string &KeyBytes, bool &Hit) {
   using ArtPtr = std::shared_ptr<const CompiledArtifact>;
-  const std::string KeyBytes = Req.keyBytes();
   std::promise<ArtPtr> Promise;
   std::shared_future<ArtPtr> Fut;
   bool Owner = false;
@@ -244,7 +245,7 @@ CompileService::getOrCompile(const CompileRequest &Req, bool &Hit) {
     return Fut.get();
 
   auto Art = std::make_shared<CompiledArtifact>();
-  Art->KeyHex = Req.keyHex();
+  Art->KeyHex = keyBytesToHex(hashKeyBytes(KeyBytes));
   try {
     Pipeline P;
     CompileResult CR = P.compile(Req);
@@ -268,17 +269,17 @@ CompileService::getOrCompile(const CompileRequest &Req, bool &Hit) {
 }
 
 std::shared_ptr<const SimArtifact>
-CompileService::getOrRun(const CompileRequest &CReq, const RunRequest &RReq,
+CompileService::getOrRun(const CompileRequest &CReq,
+                         const std::string &CKeyBytes, const RunRequest &RReq,
                          bool &Hit, bool &CompileHit,
                          std::shared_ptr<const CompiledArtifact> &Art) {
   using SimPtr = std::shared_ptr<const SimArtifact>;
 
   // The compiled artifact first: usually a hit, and the response wants it
   // regardless of whether the simulated result is cached.
-  Art = getOrCompile(CReq, CompileHit);
+  Art = getOrCompile(CReq, CKeyBytes, CompileHit);
 
-  const std::string KeyBytes =
-      combinedKeyBytes(CReq.keyBytes(), RReq.keyBytes());
+  const std::string KeyBytes = combinedKeyBytes(CKeyBytes, RReq.keyBytes());
   std::promise<SimPtr> Promise;
   std::shared_future<SimPtr> Fut;
   bool Owner = false;

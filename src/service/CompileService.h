@@ -210,11 +210,15 @@ private:
   CompileResponse handleCompile(const CompileRequest &Req);
   RunResponse handleRun(const CompileRequest &CReq, const RunRequest &RReq);
 
+  /// \p KeyBytes / \p CKeyBytes are the compile request's keyBytes(). They
+  /// embed the whole source, so the handler builds them once per request.
   std::shared_ptr<const CompiledArtifact>
-  getOrCompile(const CompileRequest &Req, bool &Hit);
+  getOrCompile(const CompileRequest &Req, const std::string &KeyBytes,
+               bool &Hit);
   std::shared_ptr<const SimArtifact>
-  getOrRun(const CompileRequest &CReq, const RunRequest &RReq, bool &Hit,
-           bool &CompileHit, std::shared_ptr<const CompiledArtifact> &Art);
+  getOrRun(const CompileRequest &CReq, const std::string &CKeyBytes,
+           const RunRequest &RReq, bool &Hit, bool &CompileHit,
+           std::shared_ptr<const CompiledArtifact> &Art);
 
   /// Marks \p KeyBytes done with \p Bytes footprint and runs LRU eviction.
   template <typename T>

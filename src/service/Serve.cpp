@@ -233,6 +233,12 @@ size_t earthcc::runServeLoop(std::istream &In, std::ostream &Out,
   if (!SC.Metrics)
     SC.Metrics = &MetricsRegistry::global();
   CompileService Service(SC);
+  // Responses are written only by ResponseWriter, under its mutex. A tied
+  // input stream would also flush its tied output from this thread before
+  // every read, outside that mutex — racing worker writes whenever the
+  // output stream is not internally locked (an unsynced std::cout). Cut
+  // the tie: every response line is flushed as it is written anyway.
+  In.tie(nullptr);
   ResponseWriter Writer(Out);
   size_t Handled = 0;
   std::string Line;

@@ -53,6 +53,8 @@ struct ServeOptions {
 
 /// Runs the serve loop: reads request lines from \p In until EOF or a
 /// "shutdown" op, writes response lines to \p Out (flushed per line).
+/// Unties \p In first, so only the loop's response writer touches \p Out:
+/// \p Out needs no internal locking (an unsynced std::cout is fine).
 /// Returns the number of requests handled (excluding malformed lines,
 /// which still get an error response).
 size_t runServeLoop(std::istream &In, std::ostream &Out,

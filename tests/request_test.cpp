@@ -201,6 +201,78 @@ TEST(RunRequestKeyTest, MetricsExpositionIsKeyNeutral) {
   EXPECT_EQ(R.keyBytes(), RK);
 }
 
+//===----------------------------------------------------------------------===//
+// Pinned key bytes. Cached artifacts are addressed by these exact bytes, so
+// any change to the serialization (record order, spelling, number format)
+// must show up here as a deliberate edit alongside a version-tag bump.
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Every keyed field set explicitly, so the process-default environment
+/// (EARTHCC_FUSE, EARTHCC_TOPOLOGY) cannot move the expected bytes.
+CompileRequest pinnedCompileRequest() {
+  CompileRequest C = CompileRequest::optimized(
+      "int main() {\n  return 7; // x=1;y\r\n}\n");
+  C.InferLocality = true;
+  C.Comm.EnableWriteBlocking = false;
+  C.Comm.BlockThresholdWords = 5;
+  C.Comm.MaxBlockOverfetch = 12;
+  C.Comm.Placement.LoopFrequencyFactor = 2.5;
+  return C;
+}
+
+RunRequest pinnedRunRequest() {
+  RunRequest R;
+  R.Entry = "main";
+  R.Args = {RtValue::makeInt(-3), RtValue::makeDbl(0.1), RtValue::undef(),
+            RtValue::makePtr(GlobalAddr{2, 17})};
+  R.Nodes = 16;
+  R.Sequential = false;
+  R.Engine = ExecEngine::Bytecode;
+  R.Fuse = true;
+  R.AllowNullReads = false;
+  R.MaxSteps = 1000000;
+  R.EUQuantum = 64;
+  R.Costs = CostModel();
+  R.Costs.NetDelay = 1234.5;
+  R.Topo = Topology::Torus2D;
+  R.Dist = Distribution::Block;
+  R.NetHopNs = 450;
+  R.NetLinkWordNs = 1.0 / 3.0;
+  R.DistBlockSize = 4;
+  return R;
+}
+
+} // namespace
+
+TEST(KeyBytesPinnedTest, CompileRequestKeyBytes) {
+  CompileRequest C = pinnedCompileRequest();
+  EXPECT_EQ(C.keyBytes(),
+            "earthcc-compile-v1;optimize=1;locality=1;read-motion=1;"
+            "blocking=1;redundancy-elim=1;write-blocking=0;"
+            "speculative-reads=0;block-threshold=5;max-overfetch=12;"
+            "loop-freq=2.5;optimistic-cond=1;"
+            "source=37:int main() {\n  return 7; // x=1;y\r\n}\n;");
+  EXPECT_EQ(C.keyHex(), "b68f0d695c3ae98a");
+}
+
+TEST(KeyBytesPinnedTest, RunRequestKeyBytes) {
+  RunRequest R = pinnedRunRequest();
+  EXPECT_EQ(R.keyBytes(),
+            "earthcc-run-v2;entry=4:main;args=4;"
+            "arg-int=18446744073709551613;arg-dbl=0.10000000000000001;"
+            "arg=5:undef;arg-ptr=5:n2:17;nodes=16;sequential=0;"
+            "topology=7:torus2d;distribution=5:block;net-hop=450;"
+            "net-link-word=0.33333333333333331;dist-block=4;engine=1;fuse=1;"
+            "null-reads=0;max-steps=1000000;quantum=64;read-issue=1908;"
+            "write-issue=1749;blk-issue=2602;net-delay=1234.5;su-read=1601;"
+            "su-write=1109;su-blk=3338;su-atomic=1601;per-word=160;"
+            "local-fallback=250;local-blk-word=4;stmt=40;copy=10;"
+            "local-access=20;call=200;return=100;spawn=600;ctx-switch=400;");
+  EXPECT_EQ(R.keyHex(), "ae579988bcfbf3c6");
+}
+
 TEST(RunRequestKeyTest, SequentialNormalizesNodeCount) {
   // Sequential mode forces one node, and the key uses the *effective*
   // machine: a 4-node and an 8-node sequential request are one artifact.
