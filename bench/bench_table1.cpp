@@ -19,7 +19,6 @@
 
 #include "driver/Pipeline.h"
 #include "driver/ProfileReport.h"
-#include "interp/Lower.h"
 #include "service/CompileService.h"
 #include "support/CommProfiler.h"
 #include "support/Metrics.h"
@@ -126,11 +125,9 @@ std::string writeProgram(int Reps) {
 /// (median-free mean over \p Iters runs after one warmup, which also pays
 /// the one-time bytecode lowering so it is not billed to either engine).
 double hostSimNs(Pipeline &P, const CompileResult &CR, ExecEngine Engine,
-                 int Iters, bool Fuse = true, RunResult *Last = nullptr,
-                 BcDispatch Dispatch = defaultDispatch()) {
+                 int Iters, BcDispatch Dispatch = defaultDispatch()) {
   MachineConfig MC = workloadMachine(RunMode::Optimized, 4);
   MC.Engine = Engine;
-  MC.Fuse = Fuse;
   MC.Dispatch = Dispatch;
   RunResult Warm = P.run(CR, MC);
   if (!Warm.OK) {
@@ -138,8 +135,6 @@ double hostSimNs(Pipeline &P, const CompileResult &CR, ExecEngine Engine,
                  Warm.Error.c_str());
     return -1.0;
   }
-  if (Last)
-    *Last = Warm;
   auto T0 = std::chrono::steady_clock::now();
   for (int I = 0; I != Iters; ++I)
     P.run(CR, MC);
@@ -167,18 +162,6 @@ double hostSimMinNs(Pipeline &P, const CompileResult &CR, int Iters,
       Best = Ns;
   }
   return Best;
-}
-
-/// Mean host nanoseconds for one from-scratch lowering of \p M at
-/// \p Threads workers (fresh BytecodeModule each time — this deliberately
-/// bypasses the module's lowering cache).
-double lowerNs(const Module &M, unsigned Threads, int Iters) {
-  lowerModule(M, Threads); // warmup
-  auto T0 = std::chrono::steady_clock::now();
-  for (int I = 0; I != Iters; ++I)
-    lowerModule(M, Threads);
-  auto T1 = std::chrono::steady_clock::now();
-  return std::chrono::duration<double, std::nano>(T1 - T0).count() / Iters;
 }
 
 /// One measured phase of the service sweep: closed-loop clients, each
@@ -328,53 +311,26 @@ int main(int argc, char **argv) {
   Pipeline SimP(workloadOptions(RunMode::Optimized));
   CompileResult SimCR = SimP.compile(findWorkload("health")->Source);
   double AstNs = hostSimNs(SimP, SimCR, ExecEngine::AST, SimIters);
-  RunResult FusedRun;
-  double BcNs =
-      hostSimNs(SimP, SimCR, ExecEngine::Bytecode, SimIters, true, &FusedRun);
-  double BcPlainNs =
-      hostSimNs(SimP, SimCR, ExecEngine::Bytecode, SimIters, false);
-  // Dispatch axis: the same fused bytecode run under the portable switch
-  // loop. BcNs above used the build default (computed goto where the build
+  double BcNs = hostSimNs(SimP, SimCR, ExecEngine::Bytecode, SimIters);
+  // Dispatch axis: the same bytecode run under the portable switch loop.
+  // BcNs above used the build default (computed goto where the build
   // carries it), so on a GCC/Clang build the pair isolates the dispatch
   // strategy alone.
   double BcSwitchNs = hostSimNs(SimP, SimCR, ExecEngine::Bytecode, SimIters,
-                                true, nullptr, BcDispatch::Switch);
+                                BcDispatch::Switch);
   double DispatchSpeedup =
       (BcSwitchNs > 0 && BcNs > 0) ? BcSwitchNs / BcNs : 0.0;
   double Speedup = (AstNs > 0 && BcNs > 0) ? AstNs / BcNs : 0.0;
   std::printf("\nHost simulation time (health, optimized, 4 nodes, "
               "mean of %d runs):\n"
               "  ast               %10.1f ms\n"
-              "  bytecode          %10.1f ms   (%.2fx speedup)\n"
-              "  bytecode --fuse=off %8.1f ms\n"
-              "  fused dispatches %llu covering %llu steps "
-              "(%.1f%% of %llu total)\n",
-              SimIters, AstNs / 1e6, BcNs / 1e6, Speedup, BcPlainNs / 1e6,
-              (unsigned long long)FusedRun.FusedDispatches,
-              (unsigned long long)FusedRun.FusedSteps,
-              FusedRun.StepsExecuted
-                  ? 100.0 * FusedRun.FusedSteps / FusedRun.StepsExecuted
-                  : 0.0,
-              (unsigned long long)FusedRun.StepsExecuted);
-  std::printf("\nBytecode dispatch strategy (same run, fused stream):\n"
+              "  bytecode          %10.1f ms   (%.2fx speedup)\n",
+              SimIters, AstNs / 1e6, BcNs / 1e6, Speedup);
+  std::printf("\nBytecode dispatch strategy (same run):\n"
               "  %-17s %10.1f ms\n"
               "  switch loop       %10.1f ms   (default is %.2fx vs switch)\n",
               computedGotoAvailable() ? "computed goto" : "switch (default)",
               BcNs / 1e6, BcSwitchNs / 1e6, DispatchSpeedup);
-
-  // Parallel lowering: host time of the lower stage itself, serial vs all
-  // hardware threads (identical output — the determinism test pins it).
-  const unsigned LowerPar = ThreadPool::hardwareThreads();
-  double LowerSerialNs = lowerNs(*SimCR.M, 1, SimIters);
-  double LowerParNs = lowerNs(*SimCR.M, LowerPar, SimIters);
-  std::printf("\nBytecode lowering time (health module, mean of %d):\n"
-              "  serial          %10.1f us\n"
-              "  %2u thread(s)    %10.1f us\n",
-              SimIters, LowerSerialNs / 1e3, LowerPar, LowerParNs / 1e3);
-  if (LowerPar <= 1)
-    std::printf("  (single hardware thread: the second figure is the serial "
-                "path plus\n   thread-pool dispatch overhead, not a parallel "
-                "measurement)\n");
 
   // Profiler overhead: the per-site observability must stay out of the hot
   // loop when detached (one predictable branch per comm op) and cheap when
@@ -403,49 +359,6 @@ int main(int argc, char **argv) {
               ThreadedC.size());
   for (const StageReport &SR : SimP.stages())
     std::printf("  %-12s %10.1f us\n", SR.Name.c_str(), SR.WallNs / 1e3);
-
-  // Placement/comm-select fan-out: mean host time of the two optimization
-  // stages over fresh compiles of health, serial vs all hardware threads.
-  // Output is bit-identical at any thread count (the pass-threads
-  // determinism suite pins it); this measures only the host speed of the
-  // per-function task fan-out.
-  auto passStageNs = [&](unsigned Threads, double &PlacementNs,
-                         double &SelectNs) {
-    PipelineOptions PO = workloadOptions(RunMode::Optimized);
-    PO.PassThreads = Threads;
-    PlacementNs = SelectNs = 0;
-    for (int I = 0; I != SimIters; ++I) {
-      Pipeline P(PO);
-      CompileResult CR = P.compile(findWorkload("health")->Source);
-      if (!CR.OK) {
-        std::fprintf(stderr, "pass-threads bench compile failed: %s\n",
-                     CR.Messages.c_str());
-        return;
-      }
-      for (const StageReport &SR : P.stages()) {
-        if (SR.Name == "placement")
-          PlacementNs += SR.WallNs;
-        else if (SR.Name == "comm-select")
-          SelectNs += SR.WallNs;
-      }
-    }
-    PlacementNs /= SimIters;
-    SelectNs /= SimIters;
-  };
-  const unsigned PassPar = ThreadPool::hardwareThreads();
-  double PassSerPlace = 0, PassSerSel = 0, PassParPlace = 0, PassParSel = 0;
-  passStageNs(1, PassSerPlace, PassSerSel);
-  passStageNs(PassPar, PassParPlace, PassParSel);
-  std::printf("\nPlacement + comm-select time (health module, mean of %d):\n"
-              "  serial          %10.1f us  (placement %.1f + select %.1f)\n"
-              "  %2u thread(s)    %10.1f us  (placement %.1f + select %.1f)\n",
-              SimIters, (PassSerPlace + PassSerSel) / 1e3, PassSerPlace / 1e3,
-              PassSerSel / 1e3, PassPar, (PassParPlace + PassParSel) / 1e3,
-              PassParPlace / 1e3, PassParSel / 1e3);
-  if (PassPar <= 1)
-    std::printf("  (single hardware thread: the second figure is the serial "
-                "path plus\n   thread-pool dispatch overhead, not a parallel "
-                "measurement)\n");
 
   // Service request sweep: the CompileService under closed-loop load at
   // 1/4/8 client threads. The cold phase submits distinct requests (every
@@ -585,33 +498,16 @@ int main(int argc, char **argv) {
                   "  \"host_sim_ns\": {\"workload\": \"health\", "
                   "\"mode\": \"optimized\", \"nodes\": 4, "
                   "\"ast\": %.0f, \"bytecode\": %.0f, "
-                  "\"bytecode_unfused\": %.0f, \"bytecode_switch\": %.0f, "
-                  "\"speedup\": %.2f},\n",
-                  AstNs, BcNs, BcPlainNs, BcSwitchNs, Speedup);
+                  "\"bytecode_switch\": %.0f, \"speedup\": %.2f, "
+                  "\"hardware_threads\": %u},\n",
+                  AstNs, BcNs, BcSwitchNs, Speedup,
+                  ThreadPool::hardwareThreads());
     Out << Buf;
     std::snprintf(Buf, sizeof(Buf),
                   "  \"dispatch\": {\"computed_goto\": %s, "
                   "\"default_vs_switch_speedup\": %.2f},\n",
                   computedGotoAvailable() ? "true" : "false",
                   DispatchSpeedup);
-    Out << Buf;
-    std::snprintf(Buf, sizeof(Buf),
-                  "  \"fused\": {\"dispatches\": %llu, \"steps\": %llu, "
-                  "\"total_steps\": %llu},\n",
-                  (unsigned long long)FusedRun.FusedDispatches,
-                  (unsigned long long)FusedRun.FusedSteps,
-                  (unsigned long long)FusedRun.StepsExecuted);
-    Out << Buf;
-    // parallel_exercised is the honesty bit: on a single-hardware-thread
-    // host the "parallel" figure is serial work plus pool dispatch
-    // overhead, and downstream consumers must not read it as a speedup.
-    std::snprintf(Buf, sizeof(Buf),
-                  "  \"lower_ns\": {\"serial\": %.0f, \"parallel\": %.0f, "
-                  "\"parallel_threads\": %u, \"hardware_threads\": %u, "
-                  "\"parallel_exercised\": %s},\n",
-                  LowerSerialNs, LowerParNs, LowerPar,
-                  ThreadPool::hardwareThreads(),
-                  LowerPar > 1 ? "true" : "false");
     Out << Buf;
     // The <= 2% profiler-off budget is verified on quiet hardware via the
     // committed artifact (off is the same code path host_sim_ns measures);
@@ -638,22 +534,6 @@ int main(int argc, char **argv) {
     // same stages, same machine class.
     Out << "  \"pass_ns_before_flatsets\": " << kPassNsBeforeFlatSets
         << ",\n";
-    // Placement + comm-select stage times at 1 worker vs all hardware
-    // threads (same honesty bit convention as lower_ns: on a single-thread
-    // host the parallel figure is serial work plus pool dispatch overhead).
-    std::snprintf(Buf, sizeof(Buf),
-                  "  \"pass_ns_serial\": {\"placement\": %.0f, "
-                  "\"comm-select\": %.0f},\n",
-                  PassSerPlace, PassSerSel);
-    Out << Buf;
-    std::snprintf(Buf, sizeof(Buf),
-                  "  \"pass_ns_parallel\": {\"placement\": %.0f, "
-                  "\"comm-select\": %.0f, \"threads\": %u, "
-                  "\"hardware_threads\": %u, \"parallel_exercised\": %s},\n",
-                  PassParPlace, PassParSel, PassPar,
-                  ThreadPool::hardwareThreads(),
-                  PassPar > 1 ? "true" : "false");
-    Out << Buf;
     // The service sweep: per client count, client-observed latency and
     // throughput for cold (every request a distinct compile+simulate) and
     // warm (one cached request replayed) phases. sims_per_sec counts

@@ -240,9 +240,8 @@ int main(int argc, char **argv) {
     Req.members().emplace_back("source", json::Value::string(Source));
     Req.members().emplace_back("nodes",
                                json::Value::number(static_cast<double>(Nodes)));
-    // Topology/distribution ride the same option table as the CLI; unlike
-    // engine/fuse they are key material, so two topologies never collide in
-    // the server's cache.
+    // Topology/distribution ride the same option table as the CLI; they are
+    // key material, so two topologies never collide in the server's cache.
     if (!TopologyName.empty())
       Req.members().emplace_back("topology",
                                  json::Value::string(TopologyName));

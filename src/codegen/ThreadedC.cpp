@@ -543,7 +543,7 @@ private:
 
   const BytecodeFunction &BF;
   const BcBackendView &View;
-  const std::vector<BcInsn> &Code; ///< Always the plain (unfused) stream.
+  const std::vector<BcInsn> &Code;
   std::ostringstream OS;
   std::map<const Var *, unsigned> Pending;
   unsigned ThreadCount = 0;

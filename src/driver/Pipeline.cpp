@@ -14,7 +14,6 @@
 #include "simple/Printer.h"
 #include "simple/Verifier.h"
 #include "support/Metrics.h"
-#include "support/ThreadPool.h"
 
 using namespace earthcc;
 
@@ -137,13 +136,10 @@ CompileResult Pipeline::compile(const std::string &Source) {
     // analysis cost is attributable separately from the rewrite: placement
     // snapshots the module (points-to, side effects, per-function
     // possible-placement sets), comm-select performs the per-function
-    // rewrites against that snapshot. Both fan out one function per task
-    // over Opts.PassThreads with bit-identical output at any setting.
+    // rewrites against that snapshot.
     std::unique_ptr<CommAnalysis> CA;
     OK = runStage("placement", R, [&](Statistics &S) {
-      CA = std::make_unique<CommAnalysis>(*R.M, Opts.comm(), S,
-                                          /*EmitRemarks=*/true,
-                                          Opts.PassThreads);
+      CA = std::make_unique<CommAnalysis>(*R.M, Opts.comm(), S);
       return true;
     });
     if (!OK)
@@ -151,8 +147,7 @@ CompileResult Pipeline::compile(const std::string &Source) {
 
     OK = runStage("comm-select", R, [&](Statistics &S) {
       std::vector<std::string> Errors;
-      if (selectModuleCommunication(*R.M, *CA, Opts, S, Errors, &R.Remarks,
-                                    Opts.PassThreads)) {
+      if (selectModuleCommunication(*R.M, *CA, Opts, S, Errors, &R.Remarks)) {
         S.add("select.remarks", R.Remarks.size());
         return true;
       }
@@ -171,14 +166,12 @@ CompileResult Pipeline::compile(const std::string &Source) {
   // pays the lowering cost exactly once and every subsequent run() — at any
   // machine size — dispatches straight over the cached opcode streams.
   OK = runStage("lower", R, [&](Statistics &S) {
-    const BytecodeModule &BM = getOrLowerBytecode(*R.M, Opts.LowerThreads);
+    const BytecodeModule &BM = getOrLowerBytecode(*R.M);
     size_t Insns = 0;
     for (const auto &BF : BM.Funcs)
       Insns += BF->Code.size();
     S.add("lower.functions", BM.Funcs.size());
     S.add("lower.instructions", Insns);
-    S.add("lower.threads", Opts.LowerThreads ? Opts.LowerThreads
-                                             : ThreadPool::hardwareThreads());
     return true;
   });
   if (!OK)
@@ -197,7 +190,7 @@ std::string Pipeline::emitThreadedC(const Module &M) {
         // bytecode the simulator executes — so a compile()d module pays no
         // second lowering here and slot numbering cannot diverge between
         // the emitted program and the engines.
-        const BytecodeModule &BM = getOrLowerBytecode(M, Opts.LowerThreads);
+        const BytecodeModule &BM = getOrLowerBytecode(M);
         uint64_t Threads = 0, SyncSlots = 0;
         for (const auto &BF : BM.Funcs) {
           ThreadedCInfo Info;

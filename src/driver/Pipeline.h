@@ -34,8 +34,6 @@
 /// with a canonical serialization (the CompileService's cache key).
 /// compile() and run() accept requests directly; the PipelineOptions /
 /// MachineConfig overloads remain for callers that wire knobs by hand.
-/// The last legacy free function (compileAndRun) lives in Driver.h as a
-/// documented deprecated shim.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -69,25 +67,13 @@ struct PipelineOptions : CommOptions {
   /// match the paper's "simple vs optimized" experiment, where locality
   /// handling is orthogonal prior work.
   bool InferLocality = false;
-  /// Worker threads for the per-function bytecode lowering stage: 1 lowers
-  /// serially on the caller's thread, 0 uses the host's hardware
-  /// concurrency, N uses N workers. Output is bit-identical at every
-  /// setting (see lowerModule); this is purely a host wall-clock knob.
-  unsigned LowerThreads = 1;
-  /// Worker threads for the placement and comm-select stages, fanned out
-  /// one function per task (same convention as LowerThreads: 1 = serial,
-  /// 0 = all hardware). Output — module, remarks, comm profiles — is
-  /// bit-identical at every setting (see CommAnalysis /
-  /// selectModuleCommunication); purely a host wall-clock knob.
-  unsigned PassThreads = 1;
 
   PipelineOptions() = default;
   /// The compile-side knobs of \p Req as a pipeline configuration (the
   /// request's Source is not carried — pass it to compile()).
   PipelineOptions(const CompileRequest &Req)
       : CommOptions(Req.Comm), Optimize(Req.Optimize),
-        InferLocality(Req.InferLocality), LowerThreads(Req.LowerThreads),
-        PassThreads(Req.PassThreads) {}
+        InferLocality(Req.InferLocality) {}
 
   /// The paper's "simple" program version: no communication optimization.
   static PipelineOptions simple() {

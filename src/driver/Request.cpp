@@ -119,9 +119,6 @@ std::string CompileRequest::keyBytes() const {
   W.integer("max-overfetch", Comm.MaxBlockOverfetch);
   W.real("loop-freq", Comm.Placement.LoopFrequencyFactor);
   W.boolean("optimistic-cond", Comm.Placement.OptimisticConditionalReads);
-  // LowerThreads and PassThreads are intentionally absent: lowering and the
-  // placement/selection passes produce bit-identical output at every thread
-  // count, so neither can change the artifact.
   W.text("source", Source);
   return W.take();
 }
@@ -130,11 +127,10 @@ uint64_t CompileRequest::key() const { return hashKeyBytes(keyBytes()); }
 std::string CompileRequest::keyHex() const { return keyBytesToHex(key()); }
 
 RunRequest::RunRequest() {
-  // Mirror MachineConfig's defaults field by field (including the
-  // EARTHCC_FUSE-derived fuse default), so the two surfaces cannot drift.
+  // Mirror MachineConfig's defaults field by field, so the two surfaces
+  // cannot drift.
   MachineConfig MC;
   Engine = MC.Engine;
-  Fuse = MC.Fuse;
   Dispatch = MC.Dispatch;
   AllowNullReads = MC.AllowNullReads;
   MaxSteps = MC.MaxSteps;
@@ -152,7 +148,6 @@ MachineConfig RunRequest::machine() const {
   MC.NumNodes = Sequential ? 1 : Nodes;
   MC.Costs = Costs;
   MC.Engine = Engine;
-  MC.Fuse = Fuse;
   MC.Dispatch = Dispatch;
   MC.SequentialMode = Sequential;
   MC.AllowNullReads = AllowNullReads;
@@ -169,7 +164,7 @@ MachineConfig RunRequest::machine() const {
 }
 
 std::string RunRequest::keyBytes() const {
-  KeyWriter W("earthcc-run-v2"); // v2: topology/distribution/net params
+  KeyWriter W("earthcc-run-v3"); // v3: fusion knob removed
   W.text("entry", Entry);
   W.integer("args", Args.size());
   for (const RtValue &A : Args) {
@@ -190,7 +185,7 @@ std::string RunRequest::keyBytes() const {
   }
   W.integer("nodes", Sequential ? 1 : Nodes);
   W.boolean("sequential", Sequential);
-  // Topology and distribution are keyed because — unlike engine, fuse, and
+  // Topology and distribution are keyed because — unlike engine and
   // dispatch — they change the *simulated* results: contention reorders
   // completion times and the distribution moves data between owners. The
   // network parameters ride along for the same reason (they only matter on
@@ -202,8 +197,7 @@ std::string RunRequest::keyBytes() const {
   W.real("net-link-word", NetLinkWordNs);
   W.integer("dist-block", DistBlockSize);
   W.integer("engine", static_cast<uint64_t>(Engine));
-  W.boolean("fuse", Fuse);
-  // Dispatch is intentionally absent: unlike Engine/Fuse (keyed
+  // Dispatch is intentionally absent: unlike Engine (keyed
   // conservatively as part of the artifact's identity), the dispatch loop
   // is a pure host-speed knob on the same bytecode stream — keying it would
   // split the cache between portable and computed-goto builds of the same
@@ -369,12 +363,6 @@ const std::vector<RequestOption> &earthcc::requestOptions() {
          Err = "unknown engine '" + V + "' (ast|bytecode)";
          return false;
        }},
-      {"fuse", "on|off", "EARTHCC_FUSE",
-       "superinstruction fusion in the bytecode engine (default on)",
-       [](CompileRequest &, RunRequest &R, const std::string &V,
-          std::string &Err) {
-         return parseOnOff(V, R.Fuse) ? true : badOnOff("fuse", V, Err);
-       }},
       {"dispatch", "goto|switch", "EARTHCC_DISPATCH",
        "bytecode inner-loop dispatch (default goto where the build has "
        "computed goto; identical simulated results)",
@@ -390,20 +378,6 @@ const std::vector<RequestOption> &earthcc::requestOptions() {
          }
          Err = "unknown dispatch '" + V + "' (goto|switch)";
          return false;
-       }},
-      {"lower-threads", "N", nullptr,
-       "bytecode-lowering worker threads (0 = all hardware; output is "
-       "identical)",
-       [](CompileRequest &C, RunRequest &, const std::string &V,
-          std::string &Err) {
-         return parseUnsignedValue(V, C.LowerThreads, Err, "lower-threads");
-       }},
-      {"pass-threads", "N", "EARTHCC_PASS_THREADS",
-       "placement/comm-select worker threads, one function per task (0 = "
-       "all hardware; output is identical)",
-       [](CompileRequest &C, RunRequest &, const std::string &V,
-          std::string &Err) {
-         return parseUnsignedValue(V, C.PassThreads, Err, "pass-threads");
        }},
       {"no-opt", nullptr, nullptr, "disable the communication optimization",
        [](CompileRequest &C, RunRequest &, const std::string &V,

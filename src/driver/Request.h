@@ -9,7 +9,7 @@
 /// The redesigned request surface of the driver. Historically the knobs
 /// accreted across three places — PipelineOptions (inheriting the flat
 /// CommOptions), MachineConfig, and ad-hoc environment overrides like
-/// EARTHCC_FUSE — and every entry point (CLI, benches, tests, observers)
+/// EARTHCC_DISPATCH — and every entry point (CLI, benches, tests, observers)
 /// wired them by hand. This file collapses that surface into two plain
 /// value types:
 ///
@@ -24,7 +24,7 @@
 /// CompileService hashes for its content-addressed artifact cache, so "two
 /// requests collide in the cache" and "two requests are semantically
 /// identical" are one property by construction. Host-only knobs
-/// (CompileRequest::LowerThreads — bit-identical output at any setting) and
+/// (RunRequest::Dispatch — bit-identical results at any setting) and
 /// per-request instrumentation (RunRequest::Sink / Profiler — observe
 /// without perturbing) are deliberately excluded from the key bytes.
 ///
@@ -56,14 +56,6 @@ struct CompileRequest {
   bool Optimize = true;      ///< Run communication selection (Phase II).
   bool InferLocality = false; ///< Run locality inference first.
   CommOptions Comm;          ///< Communication-selection policy.
-  /// Worker threads for bytecode lowering. Host wall-clock knob only —
-  /// lowering output is bit-identical at every setting — and therefore
-  /// excluded from keyBytes().
-  unsigned LowerThreads = 1;
-  /// Worker threads for the per-function placement/selection passes. Same
-  /// contract as LowerThreads: output is bit-identical at every setting
-  /// (module, remarks, comm profiles), so it is excluded from keyBytes().
-  unsigned PassThreads = 1;
 
   /// The paper's "simple" program version: no communication optimization.
   static CompileRequest simple(std::string Source);
@@ -79,20 +71,18 @@ struct CompileRequest {
 };
 
 /// Everything that determines one simulated execution of a compiled
-/// module. Defaults mirror MachineConfig (engine, fuse — including the
-/// EARTHCC_FUSE environment default — fuel, quantum, cost model), with
-/// Nodes defaulting to the CLI's historical 4.
+/// module. Defaults mirror MachineConfig (engine, dispatch, fuel, quantum,
+/// cost model), with Nodes defaulting to the CLI's historical 4.
 struct RunRequest {
   std::string Entry = "main";
   std::vector<RtValue> Args;  ///< Entry function arguments.
   unsigned Nodes = 4;         ///< Simulated machine size.
   bool Sequential = false;    ///< Sequential-C baseline (forces 1 node).
-  ExecEngine Engine;          ///< Execution engine (default: bytecode).
-  bool Fuse;                  ///< Superinstruction fusion (host knob, but
+  ExecEngine Engine;          ///< Execution engine (default: bytecode;
                               ///< keyed: see keyBytes()).
   /// Bytecode inner-loop dispatch (computed goto vs portable switch).
-  /// Host wall-clock knob with bit-identical results — same contract as
-  /// LowerThreads/PassThreads — so it is excluded from keyBytes(): the
+  /// Host wall-clock knob with bit-identical results, so it is excluded
+  /// from keyBytes(): the
   /// dispatch loop must never change which cached result a request maps
   /// to, and a request served on a portable build and a computed-goto
   /// build hits the same cache line.
@@ -102,7 +92,7 @@ struct RunRequest {
   unsigned EUQuantum;
   CostModel Costs;
   /// Interconnect topology and the network-model parameters (see
-  /// earth/NetworkModel.h). Unlike Engine/Fuse/Dispatch these CHANGE
+  /// earth/NetworkModel.h). Unlike Engine/Dispatch these CHANGE
   /// simulated results — contention reorders completion times — so all of
   /// them are key material in keyBytes().
   Topology Topo;
@@ -125,9 +115,9 @@ struct RunRequest {
   /// forwarded; Sequential forces one node).
   MachineConfig machine() const;
 
-  /// Canonical serialization of the result-determining fields. Engine and
-  /// Fuse are keyed *conservatively*: simulated results are bit-identical
-  /// across both (the equivalence suite pins it), but the service treats
+  /// Canonical serialization of the result-determining fields. Engine is
+  /// keyed *conservatively*: simulated results are bit-identical across
+  /// engines (the equivalence suite pins it), but the service treats
   /// "how was this computed" as part of the artifact's identity rather
   /// than relying on that theorem at cache-lookup time.
   std::string keyBytes() const;

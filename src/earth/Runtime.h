@@ -158,7 +158,7 @@ inline constexpr bool computedGotoAvailable() {
 /// Process-wide default for MachineConfig::Dispatch: computed goto where the
 /// build has it, unless the environment sets EARTHCC_DISPATCH=switch. The CI
 /// legs use the variable to sweep whole test-suite runs over one loop
-/// without touching every harness (same pattern as EARTHCC_FUSE).
+/// without touching every harness.
 inline BcDispatch defaultDispatch() {
   static const BcDispatch D = [] {
     const char *E = std::getenv("EARTHCC_DISPATCH");
@@ -170,26 +170,14 @@ inline BcDispatch defaultDispatch() {
   return D;
 }
 
-/// Process-wide default for MachineConfig::Fuse: on, unless the environment
-/// sets EARTHCC_FUSE=off|0. The CI sanitizer leg uses the variable to sweep
-/// the whole test suite over the unfused stream without touching every
-/// harness.
-inline bool defaultFuseEnabled() {
-  static const bool On = [] {
-    const char *E = std::getenv("EARTHCC_FUSE");
-    return !(E && (std::string_view(E) == "off" || std::string_view(E) == "0"));
-  }();
-  return On;
-}
-
 /// Machine configuration.
 struct MachineConfig {
   unsigned NumNodes = 1;
   CostModel Costs;
   /// Interconnect topology (see earth/NetworkModel.h). Ideal is the paper's
   /// constant-latency EARTH-MANNA network and the default (EARTHCC_TOPOLOGY
-  /// overrides, same pattern as EARTHCC_FUSE/EARTHCC_DISPATCH). Unlike the
-  /// Engine/Fuse/Dispatch knobs this CHANGES simulated results, so it is
+  /// overrides, same pattern as EARTHCC_DISPATCH). Unlike the
+  /// Engine/Dispatch knobs this CHANGES simulated results, so it is
   /// request-key material in driver/Request.cpp.
   Topology Topo = defaultTopology();
   /// Logical-index -> node mapping for `@node expr` placement (cyclic is
@@ -206,13 +194,6 @@ struct MachineConfig {
   /// Execution engine selection (see ExecEngine). Purely a host-performance
   /// choice; simulated results do not depend on it.
   ExecEngine Engine = ExecEngine::Bytecode;
-  /// Superinstruction fusion (bytecode engine only). When on, the engine
-  /// dispatches the fused stream, whose superinstructions execute several
-  /// walker steps per dispatch while accounting each one exactly — simulated
-  /// time, counters, step counts and traces are bit-identical either way.
-  /// Off forces the unfused one-instruction-per-step stream (differential
-  /// testing). Host-performance choice only.
-  bool Fuse = defaultFuseEnabled();
   /// Bytecode inner-loop dispatch strategy (see BcDispatch). Host
   /// performance choice only; simulated results are bit-identical across
   /// both loops.
@@ -237,7 +218,7 @@ struct MachineConfig {
   /// Per-site communication profiling: when set, both engines accumulate
   /// message counts, words moved, latency histograms and a per-node traffic
   /// matrix keyed by CommSites ids (simulated clock, so the profile is
-  /// engine- and fusion-invariant). Non-owning; null means profiling off
+  /// engine- and dispatch-invariant). Non-owning; null means profiling off
   /// and costs one branch per comm operation.
   CommProfiler *Profiler = nullptr;
 };

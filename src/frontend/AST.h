@@ -97,6 +97,10 @@ struct Expr {
   PlaceKind Place = PlaceKind::None;
   ExprPtr PlaceArg;
 
+  /// Height of the tree rooted here (1 for a leaf). The parser bounds it by
+  /// MaxNestingDepth, so every later recursive walk has a bounded depth.
+  unsigned Height = 1;
+
   explicit Expr(Kind K, SourceLoc Loc) : K(K), Loc(Loc) {}
 };
 

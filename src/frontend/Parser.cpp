@@ -6,7 +6,9 @@
 
 #include "frontend/Parser.h"
 
+#include <algorithm>
 #include <cassert>
+#include <string>
 
 using namespace earthcc;
 using namespace earthcc::ast;
@@ -24,11 +26,16 @@ bool Parser::accept(TokKind K) {
   return true;
 }
 
+void Parser::error(SourceLoc Loc, const std::string &Message) {
+  if (!Abandoned)
+    Diags.error(Loc, Message);
+}
+
 bool Parser::expect(TokKind K, const char *Context) {
   if (accept(K))
     return true;
-  Diags.error(cur().Loc, std::string("expected ") + tokKindName(K) + " " +
-                             Context + ", found " + tokKindName(cur().Kind));
+  error(cur().Loc, std::string("expected ") + tokKindName(K) + " " + Context +
+                       ", found " + tokKindName(cur().Kind));
   return false;
 }
 
@@ -37,6 +44,52 @@ void Parser::syncToStmtBoundary() {
          !check(TokKind::RBrace))
     consume();
   accept(TokKind::Semi);
+}
+
+//===----------------------------------------------------------------------===//
+// Nesting limits.
+//===----------------------------------------------------------------------===//
+
+void Parser::abandon(SourceLoc Loc) {
+  if (Abandoned)
+    return;
+  Diags.error(Loc, "nesting too deep: the limit is " +
+                       std::to_string(MaxNestingDepth) + " levels");
+  Abandoned = true;
+  Pos = Tokens.size() - 1; // Eof: every parsing loop stops there.
+}
+
+Parser::NestingScope::NestingScope(Parser &P) : P(P) {
+  if (++P.Depth > MaxNestingDepth)
+    P.abandon(P.cur().Loc);
+}
+
+ExprPtr Parser::withHeight(ExprPtr E) {
+  unsigned Sub = 0;
+  for (const ExprPtr *Op : {&E->Lhs, &E->Rhs, &E->PlaceArg})
+    if (*Op)
+      Sub = std::max(Sub, (*Op)->Height);
+  for (const ExprPtr &A : E->Args)
+    Sub = std::max(Sub, A->Height);
+  E->Height = Sub + 1;
+  if (E->Height > MaxNestingDepth)
+    abandon(E->Loc);
+  return E;
+}
+
+ExprPtr Parser::makeBinary(Expr::BinOp Op, SourceLoc Loc, ExprPtr L,
+                           ExprPtr R) {
+  auto B = std::make_unique<Expr>(Expr::Kind::Binary, Loc);
+  B->BOp = Op;
+  B->Lhs = std::move(L);
+  B->Rhs = std::move(R);
+  return withHeight(std::move(B));
+}
+
+ExprPtr Parser::makeUnary(Expr::Kind K, SourceLoc Loc, ExprPtr E) {
+  auto U = std::make_unique<Expr>(K, Loc);
+  U->Lhs = std::move(E);
+  return withHeight(std::move(U));
 }
 
 //===----------------------------------------------------------------------===//
@@ -83,7 +136,7 @@ TypeSpec Parser::parseTypeSpec() {
     if (check(TokKind::Identifier))
       TS.StructName = consume().Text;
     else
-      Diags.error(cur().Loc, "expected struct name after 'struct'");
+      error(cur().Loc, "expected struct name after 'struct'");
     break;
   }
   case TokKind::Identifier:
@@ -91,7 +144,7 @@ TypeSpec Parser::parseTypeSpec() {
     TS.StructName = consume().Text;
     break;
   default:
-    Diags.error(cur().Loc, "expected a type");
+    error(cur().Loc, "expected a type");
     break;
   }
 
@@ -121,8 +174,8 @@ TranslationUnit Parser::parseUnit() {
     parseTopLevel(Unit);
     if (Pos == Before) {
       // Ensure forward progress even on malformed input.
-      Diags.error(cur().Loc, "unexpected token at top level: " +
-                                 std::string(tokKindName(cur().Kind)));
+      error(cur().Loc, "unexpected token at top level: " +
+                           std::string(tokKindName(cur().Kind)));
       consume();
     }
   }
@@ -139,7 +192,7 @@ void Parser::parseTopLevel(TranslationUnit &Unit) {
     parseFunctionOrGlobal(Unit);
     return;
   }
-  Diags.error(cur().Loc, "expected a declaration");
+  error(cur().Loc, "expected a declaration");
   consume();
 }
 
@@ -157,7 +210,7 @@ StructDecl Parser::parseStructDecl() {
     if (check(TokKind::Identifier))
       FD.Name = consume().Text;
     else
-      Diags.error(cur().Loc, "expected field name");
+      error(cur().Loc, "expected field name");
     expect(TokKind::Semi, "after struct field");
     SD.Fields.push_back(std::move(FD));
   }
@@ -169,7 +222,7 @@ StructDecl Parser::parseStructDecl() {
 void Parser::parseFunctionOrGlobal(TranslationUnit &Unit) {
   TypeSpec TS = parseTypeSpec();
   if (!check(TokKind::Identifier)) {
-    Diags.error(cur().Loc, "expected declarator name");
+    error(cur().Loc, "expected declarator name");
     syncToStmtBoundary();
     return;
   }
@@ -192,7 +245,7 @@ void Parser::parseFunctionOrGlobal(TranslationUnit &Unit) {
         if (check(TokKind::Identifier))
           PD.Name = consume().Text;
         else
-          Diags.error(cur().Loc, "expected parameter name");
+          error(cur().Loc, "expected parameter name");
         FD.Params.push_back(std::move(PD));
       } while (accept(TokKind::Comma));
     }
@@ -237,6 +290,9 @@ StmtPtr Parser::parseBlock(bool Parallel) {
 }
 
 StmtPtr Parser::parseStmt() {
+  NestingScope Scope(*this);
+  if (Scope.tooDeep())
+    return std::make_unique<Stmt>(Stmt::Kind::Block, cur().Loc);
   switch (cur().Kind) {
   case TokKind::LBrace:
     return parseBlock(/*Parallel=*/false);
@@ -347,12 +403,12 @@ StmtPtr Parser::parseSwitch() {
         if (Negative)
           Case.Value = -Case.Value;
       } else {
-        Diags.error(cur().Loc, "expected integer case label");
+        error(cur().Loc, "expected integer case label");
       }
     } else if (accept(TokKind::KwDefault)) {
       Case.IsDefault = true;
     } else {
-      Diags.error(cur().Loc, "expected 'case' or 'default' in switch");
+      error(cur().Loc, "expected 'case' or 'default' in switch");
       syncToStmtBoundary();
       continue;
     }
@@ -402,7 +458,7 @@ StmtPtr Parser::parseDeclStmt() {
     if (check(TokKind::Identifier))
       VD.Name = consume().Text;
     else
-      Diags.error(cur().Loc, "expected variable name");
+      error(cur().Loc, "expected variable name");
     if (accept(TokKind::Eq))
       VD.Init = parseExpr();
     S->Decls.push_back(std::move(VD));
@@ -434,17 +490,18 @@ StmtPtr Parser::parseExprOrAssign() {
 // Expressions.
 //===----------------------------------------------------------------------===//
 
-ExprPtr Parser::parseExpr() { return parseLOr(); }
+ExprPtr Parser::parseExpr() {
+  NestingScope Scope(*this);
+  if (Scope.tooDeep())
+    return std::make_unique<Expr>(Expr::Kind::IntLit, cur().Loc);
+  return parseLOr();
+}
 
 ExprPtr Parser::parseLOr() {
   ExprPtr E = parseLAnd();
   while (check(TokKind::PipePipe)) {
     SourceLoc Loc = consume().Loc;
-    auto B = std::make_unique<Expr>(Expr::Kind::Binary, Loc);
-    B->BOp = Expr::BinOp::LOr;
-    B->Lhs = std::move(E);
-    B->Rhs = parseLAnd();
-    E = std::move(B);
+    E = makeBinary(Expr::BinOp::LOr, Loc, std::move(E), parseLAnd());
   }
   return E;
 }
@@ -453,11 +510,7 @@ ExprPtr Parser::parseLAnd() {
   ExprPtr E = parseEquality();
   while (check(TokKind::AmpAmp)) {
     SourceLoc Loc = consume().Loc;
-    auto B = std::make_unique<Expr>(Expr::Kind::Binary, Loc);
-    B->BOp = Expr::BinOp::LAnd;
-    B->Lhs = std::move(E);
-    B->Rhs = parseEquality();
-    E = std::move(B);
+    E = makeBinary(Expr::BinOp::LAnd, Loc, std::move(E), parseEquality());
   }
   return E;
 }
@@ -468,11 +521,7 @@ ExprPtr Parser::parseEquality() {
     Expr::BinOp Op =
         cur().is(TokKind::EqEq) ? Expr::BinOp::Eq : Expr::BinOp::Ne;
     SourceLoc Loc = consume().Loc;
-    auto B = std::make_unique<Expr>(Expr::Kind::Binary, Loc);
-    B->BOp = Op;
-    B->Lhs = std::move(E);
-    B->Rhs = parseRelational();
-    E = std::move(B);
+    E = makeBinary(Op, Loc, std::move(E), parseRelational());
   }
   return E;
 }
@@ -498,11 +547,7 @@ ExprPtr Parser::parseRelational() {
       return E;
     }
     SourceLoc Loc = consume().Loc;
-    auto B = std::make_unique<Expr>(Expr::Kind::Binary, Loc);
-    B->BOp = Op;
-    B->Lhs = std::move(E);
-    B->Rhs = parseAdditive();
-    E = std::move(B);
+    E = makeBinary(Op, Loc, std::move(E), parseAdditive());
   }
 }
 
@@ -512,11 +557,7 @@ ExprPtr Parser::parseAdditive() {
     Expr::BinOp Op =
         cur().is(TokKind::Plus) ? Expr::BinOp::Add : Expr::BinOp::Sub;
     SourceLoc Loc = consume().Loc;
-    auto B = std::make_unique<Expr>(Expr::Kind::Binary, Loc);
-    B->BOp = Op;
-    B->Lhs = std::move(E);
-    B->Rhs = parseMultiplicative();
-    E = std::move(B);
+    E = makeBinary(Op, Loc, std::move(E), parseMultiplicative());
   }
   return E;
 }
@@ -539,39 +580,38 @@ ExprPtr Parser::parseMultiplicative() {
       return E;
     }
     SourceLoc Loc = consume().Loc;
-    auto B = std::make_unique<Expr>(Expr::Kind::Binary, Loc);
-    B->BOp = Op;
-    B->Lhs = std::move(E);
-    B->Rhs = parseUnary();
-    E = std::move(B);
+    E = makeBinary(Op, Loc, std::move(E), parseUnary());
   }
 }
 
 ExprPtr Parser::parseUnary() {
   SourceLoc Loc = cur().Loc;
-  if (accept(TokKind::Minus)) {
-    auto U = std::make_unique<Expr>(Expr::Kind::Unary, Loc);
-    U->UOp = Expr::UnOp::Neg;
-    U->Lhs = parseUnary();
-    return U;
+  Expr::Kind K;
+  Expr::UnOp Op = Expr::UnOp::Neg;
+  switch (cur().Kind) {
+  case TokKind::Minus:
+    K = Expr::Kind::Unary;
+    break;
+  case TokKind::Bang:
+    K = Expr::Kind::Unary;
+    Op = Expr::UnOp::Not;
+    break;
+  case TokKind::Star:
+    K = Expr::Kind::Deref;
+    break;
+  case TokKind::Amp:
+    K = Expr::Kind::AddrOf;
+    break;
+  default:
+    return parsePostfix();
   }
-  if (accept(TokKind::Bang)) {
-    auto U = std::make_unique<Expr>(Expr::Kind::Unary, Loc);
-    U->UOp = Expr::UnOp::Not;
-    U->Lhs = parseUnary();
-    return U;
-  }
-  if (accept(TokKind::Star)) {
-    auto U = std::make_unique<Expr>(Expr::Kind::Deref, Loc);
-    U->Lhs = parseUnary();
-    return U;
-  }
-  if (accept(TokKind::Amp)) {
-    auto U = std::make_unique<Expr>(Expr::Kind::AddrOf, Loc);
-    U->Lhs = parseUnary();
-    return U;
-  }
-  return parsePostfix();
+  consume();
+  NestingScope Scope(*this);
+  if (Scope.tooDeep())
+    return std::make_unique<Expr>(Expr::Kind::IntLit, Loc);
+  ExprPtr U = makeUnary(K, Loc, parseUnary());
+  U->UOp = Op;
+  return U;
 }
 
 ExprPtr Parser::parsePostfix() {
@@ -585,15 +625,15 @@ ExprPtr Parser::parsePostfix() {
       if (check(TokKind::Identifier))
         M->Name = consume().Text;
       else
-        Diags.error(cur().Loc, "expected field name after member operator");
+        error(cur().Loc, "expected field name after member operator");
       M->Lhs = std::move(E);
-      E = std::move(M);
+      E = withHeight(std::move(M));
       continue;
     }
     if (check(TokKind::LParen)) {
       // Calls are only valid on bare identifiers in this dialect.
       if (!E || E->K != Expr::Kind::Ident) {
-        Diags.error(cur().Loc, "called object is not a function name");
+        error(cur().Loc, "called object is not a function name");
         consume();
         continue;
       }
@@ -623,11 +663,11 @@ ExprPtr Parser::parsePostfix() {
           consume();
           C->Place = Expr::PlaceKind::Home;
         } else {
-          Diags.error(cur().Loc,
-                      "expected OWNER_OF(...), node(...) or HOME after '@'");
+          error(cur().Loc,
+                "expected OWNER_OF(...), node(...) or HOME after '@'");
         }
       }
-      E = std::move(C);
+      E = withHeight(std::move(C));
       continue;
     }
     return E;
@@ -666,7 +706,7 @@ ExprPtr Parser::parsePrimary() {
     if (check(TokKind::Identifier))
       E->Name = consume().Text;
     else
-      Diags.error(cur().Loc, "expected struct name in sizeof");
+      error(cur().Loc, "expected struct name in sizeof");
     // Tolerate `sizeof(struct X *)`-style pointer sizes: one word anyway.
     while (accept(TokKind::Star))
       E->Name.clear(); // Pointer size: leave Name empty -> 1 word.
@@ -680,8 +720,8 @@ ExprPtr Parser::parsePrimary() {
     return E;
   }
   default:
-    Diags.error(Loc, std::string("expected an expression, found ") +
-                         tokKindName(cur().Kind));
+    error(Loc, std::string("expected an expression, found ") +
+                   tokKindName(cur().Kind));
     consume();
     return std::make_unique<Expr>(Expr::Kind::IntLit, Loc);
   }

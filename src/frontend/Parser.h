@@ -17,6 +17,14 @@
 
 namespace earthcc {
 
+/// The deepest nesting the parser accepts, counted two ways: recursion
+/// depth (nested statements, parenthesized sub-expressions, unary
+/// operators) and expression tree height (which also covers left-deep
+/// binary chains, built by a loop). Deeper input is rejected with a located
+/// diagnostic instead of exhausting the stack here or in a later recursive
+/// pass. C99 only requires 127 nested blocks and 63 nested parentheses.
+constexpr unsigned MaxNestingDepth = 256;
+
 /// Parses a token stream into an ast::TranslationUnit.
 ///
 /// The parser tracks declared struct tags so that a bare identifier can be
@@ -42,6 +50,30 @@ private:
   bool accept(TokKind K);
   bool expect(TokKind K, const char *Context);
   void syncToStmtBoundary();
+  /// Reports an error unless the parse was abandoned (see abandon()).
+  void error(SourceLoc Loc, const std::string &Message);
+
+  // Nesting limits (MaxNestingDepth).
+  /// Reports nesting deeper than the limit at \p Loc, then skips to the end
+  /// of input so the parse unwinds without further diagnostics.
+  void abandon(SourceLoc Loc);
+  /// Counts one level of parser recursion for the enclosing scope.
+  class NestingScope {
+  public:
+    explicit NestingScope(Parser &P);
+    ~NestingScope() { --P.Depth; }
+    /// True when this level exceeds the limit (the parse is abandoned).
+    bool tooDeep() const { return P.Abandoned; }
+
+  private:
+    Parser &P;
+  };
+  /// Sets \p E's Height from its operands, abandoning the parse when it
+  /// exceeds the limit.
+  ast::ExprPtr withHeight(ast::ExprPtr E);
+  ast::ExprPtr makeBinary(ast::Expr::BinOp Op, SourceLoc Loc, ast::ExprPtr L,
+                          ast::ExprPtr R);
+  ast::ExprPtr makeUnary(ast::Expr::Kind K, SourceLoc Loc, ast::ExprPtr E);
 
   // Type parsing.
   bool startsTypeSpec() const;
@@ -81,6 +113,8 @@ private:
   DiagnosticsEngine &Diags;
   size_t Pos = 0;
   std::set<std::string> StructNames;
+  unsigned Depth = 0;     ///< Current recursion depth (NestingScope).
+  bool Abandoned = false; ///< Nesting limit hit; the rest is skipped.
 };
 
 } // namespace earthcc

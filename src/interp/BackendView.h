@@ -43,8 +43,8 @@
 
 namespace earthcc {
 
-/// Backend-facing annotations over one lowered function's plain (unfused)
-/// instruction stream. Indexed by pc throughout.
+/// Backend-facing annotations over one lowered function's instruction
+/// stream. Indexed by pc throughout.
 struct BcBackendView {
   const BytecodeFunction *BF = nullptr;
 

@@ -105,7 +105,7 @@ enum class StepStatus { Continue, BlockRetry, YieldAt, WaitJoin, FiberDone };
 class BcInterp {
 public:
   BcInterp(const BytecodeModule &BM, const MachineConfig &Cfg)
-      : BM(BM), Cfg(Cfg), Fuse(Cfg.Fuse),
+      : BM(BM), Cfg(Cfg),
         Threaded(computedGotoAvailable() &&
                  Cfg.Dispatch == BcDispatch::ComputedGoto),
         Trc(Cfg.Trace), Prof(Cfg.Profiler),
@@ -323,21 +323,6 @@ private:
   //===--------------------------------------------------------------------===
 
   void schedule(Fiber *F, double T) { Q.push({T, ++EventSeq, F}); }
-
-  /// Step budget for a fused dispatch: how many consecutive steps could run
-  /// before the quantum check would preempt (StepsThisRun + k <= EUQuantum)
-  /// or the fuel check would fire (Steps + k - 1 <= MaxSteps; the step that
-  /// reached the fused opcode is already billed). A superinstruction that
-  /// cannot fit executes only the steps that do, so preemption and fuel
-  /// exhaustion land on exactly the same step as unfused stepping. Only the
-  /// fused handlers consult this, so it is computed there, not per step.
-  unsigned fusedBudget(unsigned StepsThisRun) const {
-    uint64_t FuelLeft = Cfg.MaxSteps - Steps + 1;
-    uint64_t QuantumLeft =
-        Cfg.EUQuantum ? Cfg.EUQuantum - StepsThisRun : FuelLeft;
-    return static_cast<unsigned>(
-        std::min<uint64_t>(std::min(FuelLeft, QuantumLeft), 0xffffffffu));
-  }
 
   Fiber *newFiber() {
     Fibers.push_back(std::make_unique<Fiber>());
@@ -964,52 +949,9 @@ private:
   }
 
   //===--------------------------------------------------------------------===
-  // Superinstruction bodies. A fused dispatch executes up to \p Budget
-  // walker steps; every step it actually takes updates Now/state exactly as
-  // the plain opcode would, and the caller accounts the step count against
-  // the quantum and the fuel. When a later step of the pattern cannot run
-  // (not yet available, or out of budget), the dispatch stops with PC on
-  // the plain instruction that step corresponds to — the pattern tail is
-  // still in the stream — and ordinary stepping takes over.
-  //===--------------------------------------------------------------------===
-
-  /// One step of a FusedAssignRun (the isSimpleAssign shape: pure
-  /// slot-to-slot Opnd/Unary/Binary into a slot). Returns false without
-  /// touching any state when the operands are not available before \p Now,
-  /// with \p Need set to the availability time — the plain Assign's
-  /// BlockRetry condition.
-  bool execSimpleAssignStep(BcFrame &Fr, const BcInsn &A, double &Now,
-                            double &Need) {
-    const auto RK = static_cast<RValueKind>(A.RK);
-    Need = availOf(Fr, A.X);
-    if (RK == RValueKind::Binary)
-      Need = std::max(Need, availOf(Fr, A.Y));
-    if (Need > Now)
-      return false;
-    RtValue Val;
-    switch (RK) {
-    case RValueKind::Opnd:
-      Val = valueOf(Fr, A.X);
-      break;
-    case RValueKind::Unary:
-      Val = evalUnary(static_cast<UnaryOp>(A.Sub), valueOf(Fr, A.X));
-      break;
-    default:
-      Val = evalBinary(static_cast<BinaryOp>(A.Sub), valueOf(Fr, A.X),
-                       valueOf(Fr, A.Y));
-      break;
-    }
-    Now += RK == RValueKind::Opnd ? cost().CopyCost : cost().StmtCost;
-    word(Fr, A.Dst) = Val;
-    Fr.Locals->Avail[A.Dst] = Now;
-    return true;
-  }
-
-  //===--------------------------------------------------------------------===
   // Fiber run loop (BytecodeExecLoop.inc). The loop body — step accounting
-  // plus one handler per opcode, one instruction == one AST-walker step,
-  // fused superinstructions taking up to Budget steps per dispatch — is
-  // written once in the .inc and expanded below the class as two methods:
+  // plus one handler per opcode, one instruction == one AST-walker step —
+  // is written once in the .inc and expanded below the class as two methods:
   // the portable switch loop and, where the build carries it, the
   // direct-threaded computed-goto loop. Selection is per-run (Cfg.Dispatch);
   // both loops produce bit-identical simulated results.
@@ -1036,7 +978,6 @@ private:
 
   const BytecodeModule &BM;
   MachineConfig Cfg;
-  const bool Fuse; ///< Dispatch FusedCode instead of Code (Cfg.Fuse).
   /// Run the computed-goto loop (Cfg.Dispatch, degraded to the switch loop
   /// when the build lacks it).
   const bool Threaded;
@@ -1061,8 +1002,6 @@ private:
   std::vector<GlobalAddr> GlobalSharedAddrs; ///< By SharedGlobalIndex.
   std::vector<std::string> Output;
   uint64_t Steps = 0;
-  uint64_t FusedDispatches = 0; ///< Multi-step fused dispatches (host metric).
-  uint64_t FusedSteps = 0;      ///< Steps covered by those dispatches.
 
   Fiber *MainFiber = nullptr;
   double EndTime = 0.0;
@@ -1148,8 +1087,6 @@ RunResult BcInterp::run(const std::string &Entry,
   R.Counters = Ctr;
   R.Output = std::move(Output);
   R.StepsExecuted = Steps;
-  R.FusedDispatches = FusedDispatches;
-  R.FusedSteps = FusedSteps;
   for (unsigned N = 0; N != Mem.numNodes(); ++N)
     R.WordsPerNode.push_back(Mem.allocatedWords(N));
   return R;

@@ -1253,12 +1253,6 @@ RunResult earthcc::runProgram(const Module &M, const MachineConfig &Config,
   MetricsRegistry &Reg = MetricsRegistry::global();
   Reg.counter("engine.runs", {{"engine", EngineName}}).inc();
   Reg.counter("engine.steps", {{"engine", EngineName}}).inc(R.StepsExecuted);
-  if (R.FusedDispatches) {
-    Reg.counter("engine.fused_dispatches", {{"engine", EngineName}})
-        .inc(R.FusedDispatches);
-    Reg.counter("engine.fused_steps", {{"engine", EngineName}})
-        .inc(R.FusedSteps);
-  }
   auto WallNs =
       std::chrono::duration_cast<std::chrono::nanoseconds>(T1 - T0).count();
   Reg.histogram("engine.run_wall_ns", {{"engine", EngineName}})

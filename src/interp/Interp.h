@@ -62,12 +62,8 @@ struct RunResult {
   uint64_t StepsExecuted = 0;
   std::vector<size_t> WordsPerNode; ///< Heap words allocated per node.
 
-  /// Host-side dispatch metrics (NOT part of the simulated result, so the
-  /// engine-equivalence sweep does not compare them): number of fused
-  /// superinstruction dispatches that executed more than one step, and the
-  /// total steps those dispatches covered. Zero for the AST engine and for
-  /// bytecode runs with MachineConfig::Fuse off.
-  uint64_t FusedDispatches = 0;
+  /// Always 0: the bytecode engine dispatches one instruction per step.
+  /// Kept because the benchmark harness (perfbench/) reads it.
   uint64_t FusedSteps = 0;
 };
 

@@ -20,24 +20,13 @@
 
 namespace earthcc {
 
-/// Lowers every function of \p M into a fresh BytecodeModule (both the
-/// plain and the fused instruction streams — see Bytecode.h).
-///
-/// \p Threads drives the per-function bodies over a thread pool (functions
-/// are independent once the serial frame-layout pass has run): 1 lowers
-/// serially on the caller's thread, 0 uses the host's hardware concurrency,
-/// N uses N workers. Output is bit-identical at every thread count — each
-/// task writes only its own pre-allocated BytecodeFunction, so the result
-/// is a pure function of the module regardless of scheduling.
-std::shared_ptr<const BytecodeModule> lowerModule(const Module &M,
-                                                  unsigned Threads = 1);
+/// Lowers every function of \p M into a fresh BytecodeModule.
+std::shared_ptr<const BytecodeModule> lowerModule(const Module &M);
 
 /// Returns \p M's lowered form, lowering on first use and memoizing in the
 /// module's execution cache — so compile-once/run-many harnesses lower
-/// exactly once no matter how many times they run the module. \p Threads
-/// applies only when this call performs the lowering (see lowerModule).
-const BytecodeModule &getOrLowerBytecode(const Module &M,
-                                         unsigned Threads = 1);
+/// exactly once no matter how many times they run the module.
+const BytecodeModule &getOrLowerBytecode(const Module &M);
 
 } // namespace earthcc
 

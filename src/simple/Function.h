@@ -113,10 +113,10 @@ public:
 
   /// Drops any memoized execution-engine artifact. Must be called by every
   /// transform that mutates the IR, so a lowering performed earlier cannot
-  /// silently diverge from the code that would execute. This covers every
-  /// fusion-side structure too — the superinstruction stream and the
-  /// Call/shared-cell inline caches live inside the cached BytecodeModule,
-  /// so resetting the slot drops them atomically with the plain code.
+  /// silently diverge from the code that would execute. This covers the
+  /// Switch tables and Call/shared-cell inline caches too — they live
+  /// inside the cached BytecodeModule, so resetting the slot drops them
+  /// atomically with the code.
   void invalidateExecCache() const { ExecCache.reset(); }
 
 private:

@@ -6,24 +6,16 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A small fixed-size thread pool for host-side compiler parallelism (the
-/// per-function bytecode lowering is the first user). Tasks are plain
-/// std::function<void()>; wait() blocks until every submitted task has
-/// finished and rethrows the first task exception, so callers get the same
-/// failure behavior as the serial loop they replaced.
-///
-/// Determinism contract: the pool orders nothing. Users that need
-/// deterministic output (all of them, in this compiler) must write results
-/// into pre-allocated, task-owned slots — e.g. parallelFor(N) hands each
-/// index to exactly one task, and the caller indexes results by it — so the
-/// output is a pure function of the input regardless of scheduling.
+/// A small fixed-size thread pool: the CompileService's request workers.
+/// Tasks are plain std::function<void()> and run in no particular order;
+/// wait() blocks until every submitted task has finished and rethrows the
+/// first task exception.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef EARTHCC_SUPPORT_THREADPOOL_H
 #define EARTHCC_SUPPORT_THREADPOOL_H
 
-#include <atomic>
 #include <condition_variable>
 #include <deque>
 #include <exception>
@@ -86,32 +78,6 @@ public:
       FirstError = nullptr;
       std::rethrow_exception(E);
     }
-  }
-
-  /// Runs Body(0) .. Body(Count-1) across the pool and waits. Each index is
-  /// claimed by exactly one worker; results keyed by index are therefore
-  /// deterministic no matter how the workers interleave. Once any body
-  /// throws, no lane claims another index (indices already claimed still
-  /// finish), so a failing run stops promptly instead of grinding through
-  /// the remaining indices; wait() rethrows the first exception as usual.
-  void parallelFor(size_t Count, const std::function<void(size_t)> &Body) {
-    std::atomic<size_t> Next{0};
-    std::atomic<bool> Failed{false};
-    size_t Lanes = std::min<size_t>(Count, numThreads());
-    for (size_t L = 0; L != Lanes; ++L)
-      run([&Next, &Failed, Count, &Body] {
-        for (size_t I = Next.fetch_add(1);
-             I < Count && !Failed.load(std::memory_order_relaxed);
-             I = Next.fetch_add(1)) {
-          try {
-            Body(I);
-          } catch (...) {
-            Failed.store(true, std::memory_order_relaxed);
-            throw; // wait() reports it as FirstError.
-          }
-        }
-      });
-    wait();
   }
 
 private:

@@ -10,7 +10,6 @@
 #include "simple/Verifier.h"
 #include "support/FlatSet.h"
 #include "support/Remark.h"
-#include "support/ThreadPool.h"
 
 #include <cassert>
 #include <deque>
@@ -761,22 +760,6 @@ static void addPlacementStats(const PlacementResult &PR, Statistics &Stats) {
     Stats.add("placement.write_tuples", Tuples ? Tuples->size() : 0);
 }
 
-/// Runs \p Fn over [0, N) with the LowerThreads fan-out convention: 1 =
-/// serial on the caller's thread, 0 = all hardware threads.
-template <typename Fn>
-static void forEachIndex(size_t N, unsigned Threads, Fn &&Body) {
-  if (Threads == 0)
-    Threads = ThreadPool::hardwareThreads();
-  size_t Lanes = std::min<size_t>(Threads, N);
-  if (Lanes <= 1) {
-    for (size_t I = 0; I != N; ++I)
-      Body(I);
-    return;
-  }
-  ThreadPool Pool(Lanes);
-  Pool.parallelFor(N, Body);
-}
-
 } // namespace
 
 CommAnalysis::Prepared::Prepared(Module &M) {
@@ -786,22 +769,18 @@ CommAnalysis::Prepared::Prepared(Module &M) {
 }
 
 CommAnalysis::CommAnalysis(Module &M, const CommOptions &Opts,
-                           Statistics &Stats, bool EmitRemarks,
-                           unsigned Threads)
+                           Statistics &Stats, bool EmitRemarks)
     : Prep(M), PT(M), SE(M, PT) {
   const auto &Funcs = M.functions();
   Results.resize(Funcs.size());
   for (size_t I = 0; I != Funcs.size(); ++I)
     Index[Funcs[I].get()] = I;
-  // Each worker writes only its own pre-allocated slot; PT/SE are const
-  // after construction.
-  forEachIndex(Funcs.size(), Threads, [&](size_t I) {
+  for (size_t I = 0; I != Funcs.size(); ++I) {
     FuncAnalysis &FA = Results[I];
     FA.PR = runPlacementAnalysis(*Funcs[I], SE, Opts.Placement,
                                  EmitRemarks ? &FA.Remarks : nullptr);
-  });
-  for (const FuncAnalysis &FA : Results)
     addPlacementStats(FA.PR, Stats);
+  }
 }
 
 const PlacementResult &CommAnalysis::placement(const Function &F) const {
@@ -820,46 +799,17 @@ bool earthcc::selectModuleCommunication(Module &M, CommAnalysis &CA,
                                         const CommOptions &Opts,
                                         Statistics &Stats,
                                         std::vector<std::string> &Errors,
-                                        RemarkStream *Remarks,
-                                        unsigned Threads) {
-  const auto &Funcs = M.functions();
-
-  // Per-function sinks: each rewrite touches only its own function (its
-  // statements, temps and labels), so functions fan out freely; counters,
-  // remarks and errors are buffered and merged in function order below,
-  // making the observable output independent of the thread count.
-  struct FuncOutput {
-    Statistics Stats;
-    RemarkStream Remarks;
-    std::vector<std::string> Errors;
-    bool OK = true;
-  };
-  std::vector<FuncOutput> Outputs(Funcs.size());
-
-  forEachIndex(Funcs.size(), Threads, [&](size_t I) {
-    Function &F = *Funcs[I];
-    FuncOutput &Out = Outputs[I];
-    Selector(M, F, Opts, Out.Stats, Remarks ? &Out.Remarks : nullptr,
-             CA.pointsTo(), CA.sideEffects(), CA.placement(F))
-        .run();
-    Out.OK = verifyFunction(M, F, Out.Errors);
-  });
-
+                                        RemarkStream *Remarks) {
   bool OK = true;
-  for (size_t I = 0; I != Funcs.size(); ++I) {
-    FuncOutput &Out = Outputs[I];
-    if (Remarks) {
-      // Splice [placement(f), selection(f)] per function — the same
-      // interleaving the serial pipeline historically emitted.
-      for (const Remark &R : CA.placementRemarks(*Funcs[I]).all())
+  for (const auto &F : M.functions()) {
+    // Emit [placement(f), selection(f)] per function.
+    if (Remarks)
+      for (const Remark &R : CA.placementRemarks(*F).all())
         Remarks->emit(R);
-      for (const Remark &R : Out.Remarks.all())
-        Remarks->emit(R);
-    }
-    Stats.merge(Out.Stats);
-    Errors.insert(Errors.end(), std::make_move_iterator(Out.Errors.begin()),
-                  std::make_move_iterator(Out.Errors.end()));
-    OK &= Out.OK;
+    Selector(M, *F, Opts, Stats, Remarks, CA.pointsTo(), CA.sideEffects(),
+             CA.placement(*F))
+        .run();
+    OK &= verifyFunction(M, *F, Errors);
   }
   return OK;
 }

@@ -69,23 +69,19 @@ struct CommOptions {
 /// Construction snapshots the module *before* any function is transformed:
 /// it drops stale bytecode, relabels every function, builds one module-wide
 /// points-to analysis and side-effect summary, and runs possible-placement
-/// analysis per function. Because every per-function placement is computed
-/// against the same untransformed module, the results are independent of
-/// function order and of how many \p Threads computed them — the property
-/// the parallel selection phase relies on for bit-identical output.
+/// analysis per function. Every per-function placement is computed against
+/// the same untransformed module, so the results do not depend on the order
+/// in which selection later rewrites the functions.
 ///
-/// Placement remarks are buffered per function (in deterministic program
-/// order) and spliced into the output stream by selectModuleCommunication,
-/// which keeps the emitted remark stream byte-identical to the historical
-/// serial interleaving [placement(f), selection(f)] per function.
+/// Placement remarks are buffered per function and spliced into the output
+/// stream by selectModuleCommunication as [placement(f), selection(f)] per
+/// function.
 class CommAnalysis {
 public:
   /// Analyzes \p M. \p Stats receives the placement.* counters. Placement
-  /// remarks are generated only when \p EmitRemarks is set. \p Threads
-  /// parallelizes the per-function placement analyses (1 = serial on the
-  /// caller's thread, 0 = all hardware threads).
+  /// remarks are generated only when \p EmitRemarks is set.
   CommAnalysis(Module &M, const CommOptions &Opts, Statistics &Stats,
-               bool EmitRemarks = true, unsigned Threads = 1);
+               bool EmitRemarks = true);
 
   CommAnalysis(const CommAnalysis &) = delete;
   CommAnalysis &operator=(const CommAnalysis &) = delete;
@@ -115,19 +111,14 @@ private:
 };
 
 /// The transform phase: runs the selection rewrite over every function of
-/// \p M using the snapshots in \p CA, optionally fanning the per-function
-/// rewrites out over \p Threads workers (1 = serial, 0 = all hardware).
-/// Output — module, counters, remark stream — is bit-identical at every
-/// thread count: functions are rewritten independently (each touches only
-/// its own statements and temps) and per-function counters/remarks/errors
-/// are buffered and merged in function order afterwards. Returns false
+/// \p M, in function order, using the snapshots in \p CA. Each rewrite
+/// touches only its own function's statements and temps. Returns false
 /// (with \p Errors populated) if any transformed function fails
 /// verification — a bug, surfaced loudly.
 bool selectModuleCommunication(Module &M, CommAnalysis &CA,
                                const CommOptions &Opts, Statistics &Stats,
                                std::vector<std::string> &Errors,
-                               RemarkStream *Remarks = nullptr,
-                               unsigned Threads = 1);
+                               RemarkStream *Remarks = nullptr);
 
 /// Runs communication selection on one function. Requires labels to be
 /// fresh (call F.relabel() first); relabels and re-verifies afterwards.
@@ -143,7 +134,7 @@ bool optimizeFunctionCommunication(Module &M, Function &F,
                                    RemarkStream *Remarks = nullptr);
 
 /// Runs communication selection on every function of \p M: one CommAnalysis
-/// snapshot followed by selectModuleCommunication, both serial.
+/// snapshot followed by selectModuleCommunication.
 bool optimizeModuleCommunication(Module &M, const CommOptions &Opts,
                                  Statistics &Stats,
                                  std::vector<std::string> &Errors,

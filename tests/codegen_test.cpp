@@ -561,8 +561,7 @@ TEST(ThreadedCTest, WholeModuleEmission) {
 
 //===----------------------------------------------------------------------===//
 // Differential and invariance suites: the bytecode-driven emitter against
-// the frozen tree-walking reference, the checked-in goldens, and the
-// lower-threads / fuse configuration axes.
+// the frozen tree-walking reference and the checked-in goldens.
 //===----------------------------------------------------------------------===//
 
 /// Every workload x {Simple, Optimized}: per-function text and
@@ -585,31 +584,6 @@ TEST(ThreadedCDifferentialTest, MatchesTreeEmitterOnAllWorkloads) {
         EXPECT_EQ(TreeInfo.SyncSlots, BcInfo.SyncSlots)
             << W.Name << " " << F->name();
       }
-    }
-  }
-}
-
-/// The emitter reads only the plain (unfused) stream, so clearing FusedCode
-/// must not change one byte of output, and neither may the lowering thread
-/// count (whose output is bit-identical by construction). Together with the
-/// golden test below this pins the acceptance matrix:
-/// --lower-threads {1,4} x --fuse {on,off}.
-TEST(ThreadedCDifferentialTest, InvariantAcrossLowerThreadsAndFuse) {
-  for (const Workload &W : oldenWorkloads()) {
-    CompileResult CR = compileWorkload(W, RunMode::Optimized);
-    ASSERT_TRUE(CR.OK) << W.Name << ": " << CR.Messages;
-    auto BM1 = lowerModule(*CR.M, /*Threads=*/1);
-    auto BM4 = lowerModule(*CR.M, /*Threads=*/4);
-    EXPECT_EQ(emitThreadedC(*BM1), emitThreadedC(*BM4)) << W.Name;
-    for (const auto &BF : BM1->Funcs) {
-      BytecodeFunction Unfused = *BF; // Same plain stream, no fused stream.
-      Unfused.FusedCode.clear();
-      ThreadedCInfo Fused, Plain;
-      EXPECT_EQ(emitThreadedC(*BM1, *BF, &Fused),
-                emitThreadedC(*BM1, Unfused, &Plain))
-          << W.Name << " " << BF->Fn->name();
-      EXPECT_EQ(Fused.Threads, Plain.Threads);
-      EXPECT_EQ(Fused.SyncSlots, Plain.SyncSlots);
     }
   }
 }

@@ -13,7 +13,6 @@
 #include "driver/ProfileReport.h"
 #include "interp/Bytecode.h"
 #include "interp/Lower.h"
-#include "simple/Printer.h"
 #include "support/CommProfiler.h"
 #include "workloads/Workloads.h"
 
@@ -32,16 +31,14 @@ struct EngineRun {
 };
 
 /// Runs \p M under \p Engine with a fresh trace sink and profiler attached.
-/// \p Fuse selects the bytecode engine's superinstruction stream and
-/// \p Dispatch its inner loop (both ignored by the AST engine; on a build
-/// without computed goto, ComputedGoto degrades to the switch loop).
+/// \p Dispatch selects the bytecode engine's inner loop (ignored by the AST
+/// engine; on a build without computed goto, ComputedGoto degrades to the
+/// switch loop).
 EngineRun runWith(Pipeline &P, const Module &M, MachineConfig MC,
-                  ExecEngine Engine, bool Fuse = true,
-                  BcDispatch Dispatch = defaultDispatch()) {
+                  ExecEngine Engine, BcDispatch Dispatch = defaultDispatch()) {
   ChromeTraceSink Sink;
   CommProfiler Prof;
   MC.Engine = Engine;
-  MC.Fuse = Fuse;
   MC.Dispatch = Dispatch;
   MC.Trace = &Sink;
   MC.Profiler = &Prof;
@@ -84,14 +81,9 @@ protected:
   }
 
   /// Compiles \p Source once per mode and sweeps 1/2/4 nodes, comparing
-  /// the AST engine against the bytecode engine with fusion on AND off and
-  /// under both dispatch loops at every configuration. Fused dispatch
-  /// counts are host metrics, so they are deliberately outside
-  /// expectIdentical — but the sweep does assert the fused stream actually
-  /// fused something (on) and that the unfused stream never dispatches a
-  /// superinstruction (off).
+  /// the AST engine against the bytecode engine under both dispatch loops
+  /// at every configuration.
   void sweep(const std::string &Source, const std::string &SizeTag) {
-    uint64_t FusedDispatches = 0;
     for (RunMode Mode : {RunMode::Simple, RunMode::Optimized}) {
       Pipeline P(workloadOptions(Mode));
       CompileResult CR = P.compile(Source);
@@ -102,33 +94,16 @@ protected:
                            (Mode == RunMode::Simple ? "/simple/" : "/opt/") +
                            std::to_string(Nodes) + "n";
         auto Ast = runWith(P, *CR.M, MC, ExecEngine::AST);
-        auto BcFused = runWith(P, *CR.M, MC, ExecEngine::Bytecode);
-        auto BcPlain =
-            runWith(P, *CR.M, MC, ExecEngine::Bytecode, /*Fuse=*/false);
+        auto Bc = runWith(P, *CR.M, MC, ExecEngine::Bytecode);
         // Dispatch axis: the default above is computed goto where the build
-        // carries it; the explicit switch-loop runs pin both loops to the
+        // carries it; the explicit switch-loop run pins both loops to the
         // same bits (they collapse to the same loop on a portable build).
-        auto BcSwFused = runWith(P, *CR.M, MC, ExecEngine::Bytecode,
-                                 /*Fuse=*/true, BcDispatch::Switch);
-        auto BcSwPlain = runWith(P, *CR.M, MC, ExecEngine::Bytecode,
-                                 /*Fuse=*/false, BcDispatch::Switch);
-        expectIdentical(Ast, BcFused, What + "/fuse=on");
-        expectIdentical(Ast, BcPlain, What + "/fuse=off");
-        expectIdentical(Ast, BcSwFused, What + "/fuse=on/dispatch=switch");
-        expectIdentical(Ast, BcSwPlain, What + "/fuse=off/dispatch=switch");
-        EXPECT_EQ(Ast.R.FusedDispatches, 0u) << What;
-        EXPECT_EQ(BcPlain.R.FusedDispatches, 0u) << What;
-        EXPECT_GE(BcFused.R.FusedSteps, 2 * BcFused.R.FusedDispatches)
-            << What << ": a fused dispatch covers at least two steps";
-        EXPECT_EQ(BcFused.R.FusedDispatches, BcSwFused.R.FusedDispatches)
-            << What << ": fused dispatch counts diverge across loops";
-        EXPECT_EQ(BcFused.R.FusedSteps, BcSwFused.R.FusedSteps) << What;
-        FusedDispatches += BcFused.R.FusedDispatches;
+        auto BcSw =
+            runWith(P, *CR.M, MC, ExecEngine::Bytecode, BcDispatch::Switch);
+        expectIdentical(Ast, Bc, What);
+        expectIdentical(Ast, BcSw, What + "/dispatch=switch");
       }
     }
-    EXPECT_GT(FusedDispatches, 0u)
-        << GetParam() << "/" << SizeTag
-        << ": fusion never fired across the whole sweep";
   }
 };
 
@@ -164,22 +139,14 @@ TEST_P(EngineEquivalenceTest, QuantumSweep) {
         GetParam() + "/quantum=" + std::to_string(Quantum);
     auto Ast = runWith(P, *CR.M, MC, ExecEngine::AST);
     auto Bc = runWith(P, *CR.M, MC, ExecEngine::Bytecode);
-    auto BcPlain = runWith(P, *CR.M, MC, ExecEngine::Bytecode, /*Fuse=*/false);
-    auto BcSw = runWith(P, *CR.M, MC, ExecEngine::Bytecode, /*Fuse=*/true,
-                        BcDispatch::Switch);
-    expectIdentical(Ast, Bc, What + "/fuse=on");
-    expectIdentical(Ast, BcPlain, What + "/fuse=off");
+    auto BcSw = runWith(P, *CR.M, MC, ExecEngine::Bytecode, BcDispatch::Switch);
+    expectIdentical(Ast, Bc, What);
     expectIdentical(Ast, BcSw, What + "/dispatch=switch");
-    // A one-step quantum leaves no budget for a multi-step dispatch: every
-    // superinstruction must fall back to single-stepping.
-    if (Quantum == 1) {
-      EXPECT_EQ(Bc.R.FusedDispatches, 0u) << What;
-    }
   }
 }
 
-// Topology axis: at every fixed (topology, distribution) the engine, fuse
-// and dispatch knobs must still be bit-identical — the network model mutates
+// Topology axis: at every fixed (topology, distribution) the engine and
+// dispatch knobs must still be bit-identical — the network model mutates
 // link state in event order, so this pins that both engines issue network
 // transactions in the same order even under contention.
 TEST_P(EngineEquivalenceTest, TopologyAxis) {
@@ -197,12 +164,9 @@ TEST_P(EngineEquivalenceTest, TopologyAxis) {
                          distributionName(Dist);
       auto Ast = runWith(P, *CR.M, MC, ExecEngine::AST);
       auto Bc = runWith(P, *CR.M, MC, ExecEngine::Bytecode);
-      auto BcPlain =
-          runWith(P, *CR.M, MC, ExecEngine::Bytecode, /*Fuse=*/false);
-      auto BcSw = runWith(P, *CR.M, MC, ExecEngine::Bytecode, /*Fuse=*/true,
-                          BcDispatch::Switch);
-      expectIdentical(Ast, Bc, What + "/fuse=on");
-      expectIdentical(Ast, BcPlain, What + "/fuse=off");
+      auto BcSw =
+          runWith(P, *CR.M, MC, ExecEngine::Bytecode, BcDispatch::Switch);
+      expectIdentical(Ast, Bc, What);
       expectIdentical(Ast, BcSw, What + "/dispatch=switch");
     }
   }
@@ -229,191 +193,28 @@ TEST(EngineCacheTest, LoweringIsCachedAcrossRuns) {
   EXPECT_EQ(First.M, CR.M.get());
 }
 
-/// Field-wise BcOperand equality (BcInsn holds pointers and padding, so
-/// memcmp over the raw bytes would be both unsafe and too strict).
-void expectSameOperand(const BcOperand &A, const BcOperand &B,
-                       const std::string &What) {
-  EXPECT_EQ(A.Kind, B.Kind) << What;
-  EXPECT_EQ(A.Slot, B.Slot) << What;
-  EXPECT_EQ(A.V, B.V) << What;
-  EXPECT_EQ(A.Const.K, B.Const.K) << What;
-  EXPECT_EQ(A.Const.I, B.Const.I) << What;
-  EXPECT_DOUBLE_EQ(A.Const.D, B.Const.D) << What;
-  EXPECT_EQ(A.Const.P, B.Const.P) << What;
-}
-
-/// Field-wise BcInsn equality between two lowerings of the SAME Module:
-/// Src/V point into the shared IR and compare directly; Callee points into
-/// each lowering's own BytecodeModule, so its identity is the source
-/// Function it lowers.
-void expectSameInsn(const BcInsn &A, const BcInsn &B, const std::string &What) {
-  EXPECT_EQ(A.Op, B.Op) << What;
-  EXPECT_EQ(A.RK, B.RK) << What;
-  EXPECT_EQ(A.LK, B.LK) << What;
-  EXPECT_EQ(A.Sub, B.Sub) << What;
-  EXPECT_EQ(A.Loc, B.Loc) << What;
-  EXPECT_EQ(A.Place, B.Place) << What;
-  EXPECT_EQ(A.A, B.A) << What;
-  EXPECT_EQ(A.B, B.B) << What;
-  EXPECT_EQ(A.Off, B.Off) << What;
-  EXPECT_EQ(A.Words, B.Words) << What;
-  EXPECT_EQ(A.Dst, B.Dst) << What;
-  EXPECT_EQ(A.Site, B.Site) << What;
-  expectSameOperand(A.X, B.X, What + "/X");
-  expectSameOperand(A.Y, B.Y, What + "/Y");
-  EXPECT_EQ(A.Callee ? A.Callee->Fn : nullptr, B.Callee ? B.Callee->Fn : nullptr)
-      << What;
-  EXPECT_EQ(A.Src, B.Src) << What;
-}
-
-void expectSameStream(const std::vector<BcInsn> &A, const std::vector<BcInsn> &B,
-                      const std::string &What) {
-  ASSERT_EQ(A.size(), B.size()) << What;
-  for (size_t I = 0; I != A.size(); ++I)
-    expectSameInsn(A[I], B[I], What + "[" + std::to_string(I) + "]");
-}
-
-// Parallel per-function lowering must be a pure host-speed knob: every
-// thread count yields bit-identical bytecode (both streams, all pools, all
-// inline caches) for the same module.
-TEST(LowerThreadsTest, ParallelLoweringIsDeterministic) {
-  const Workload *W = findWorkload("health");
-  ASSERT_NE(W, nullptr);
-  Pipeline P(workloadOptions(RunMode::Optimized));
-  CompileResult CR = P.compile(W->Source);
-  ASSERT_TRUE(CR.OK) << CR.Messages;
-  std::shared_ptr<const BytecodeModule> Serial = lowerModule(*CR.M, 1);
-  for (unsigned Threads : {4u, 0u}) {
-    std::shared_ptr<const BytecodeModule> Par = lowerModule(*CR.M, Threads);
-    std::string Tag = "threads=" + std::to_string(Threads);
-    ASSERT_EQ(Serial->Funcs.size(), Par->Funcs.size()) << Tag;
-    EXPECT_EQ(Serial->SharedGlobals, Par->SharedGlobals) << Tag;
-    EXPECT_EQ(Serial->NumSites, Par->NumSites) << Tag;
-    for (size_t F = 0; F != Serial->Funcs.size(); ++F) {
-      const BytecodeFunction &A = *Serial->Funcs[F];
-      const BytecodeFunction &B = *Par->Funcs[F];
-      std::string What = Tag + "/" + A.Fn->name();
-      EXPECT_EQ(A.Fn, B.Fn) << What;
-      EXPECT_EQ(A.FrameWords, B.FrameWords) << What;
-      EXPECT_EQ(A.ParamSlots, B.ParamSlots) << What;
-      EXPECT_EQ(A.ParamWordOffs, B.ParamWordOffs) << What;
-      EXPECT_EQ(A.SharedCellOffs, B.SharedCellOffs) << What;
-      EXPECT_EQ(A.CasePool, B.CasePool) << What;
-      EXPECT_EQ(A.BranchPool, B.BranchPool) << What;
-      EXPECT_EQ(A.JumpTables, B.JumpTables) << What;
-      EXPECT_EQ(A.JumpPool, B.JumpPool) << What;
-      EXPECT_EQ(A.SortedCasePool, B.SortedCasePool) << What;
-      ASSERT_EQ(A.Slots.size(), B.Slots.size()) << What;
-      for (size_t S = 0; S != A.Slots.size(); ++S) {
-        EXPECT_EQ(A.Slots[S].WordOff, B.Slots[S].WordOff) << What;
-        EXPECT_EQ(A.Slots[S].Words, B.Slots[S].Words) << What;
-        EXPECT_EQ(A.Slots[S].SharedCell, B.Slots[S].SharedCell) << What;
-        EXPECT_EQ(A.Slots[S].V, B.Slots[S].V) << What;
-      }
-      ASSERT_EQ(A.ArgPool.size(), B.ArgPool.size()) << What;
-      for (size_t I = 0; I != A.ArgPool.size(); ++I)
-        expectSameOperand(A.ArgPool[I], B.ArgPool[I], What + "/argpool");
-      expectSameStream(A.Code, B.Code, What + "/code");
-      expectSameStream(A.FusedCode, B.FusedCode, What + "/fused");
-    }
-  }
-}
-
-// End to end through the Pipeline option: a parallel-lowered compile must
-// run to exactly the same simulated result and trace as a serial one.
-TEST(LowerThreadsTest, PipelineRunsIdenticalAtAnyThreadCount) {
-  const Workload *W = findWorkload("power");
-  ASSERT_NE(W, nullptr);
-  PipelineOptions SerialOpts = workloadOptions(RunMode::Optimized);
-  SerialOpts.LowerThreads = 1;
-  PipelineOptions ParOpts = workloadOptions(RunMode::Optimized);
-  ParOpts.LowerThreads = 4;
-  Pipeline PS(SerialOpts), PP(ParOpts);
-  CompileResult CS = PS.compile(W->Source);
-  CompileResult CP = PP.compile(W->Source);
-  ASSERT_TRUE(CS.OK) << CS.Messages;
-  ASSERT_TRUE(CP.OK) << CP.Messages;
-  MachineConfig MC = workloadMachine(RunMode::Optimized, 4);
-  auto A = runWith(PS, *CS.M, MC, ExecEngine::Bytecode);
-  auto B = runWith(PP, *CP.M, MC, ExecEngine::Bytecode);
-  expectIdentical(A, B, "lower-threads 1 vs 4");
-  EXPECT_EQ(A.R.FusedDispatches, B.R.FusedDispatches);
-  EXPECT_EQ(A.R.FusedSteps, B.R.FusedSteps);
-}
-
-// The pass-threads contract, pinned the same way the lower-threads one is:
-// the placement/comm-select fan-out is a pure host-speed knob. Every thread
-// count must produce a bit-identical compiled artifact — printed module,
-// remark stream, emitted Threaded-C and the serialized comm profile of a
-// run — for every workload in both program versions.
-TEST(PassThreadsTest, CompileIsBitIdenticalAtAnyThreadCount) {
-  for (const Workload &W : oldenWorkloads()) {
-    for (RunMode Mode : {RunMode::Simple, RunMode::Optimized}) {
-      std::string Printed, Remarks, ThreadedC, Profile;
-      for (unsigned Threads : {1u, 4u, 0u}) {
-        PipelineOptions PO = workloadOptions(Mode);
-        PO.PassThreads = Threads;
-        Pipeline P(PO);
-        CompileResult CR = P.compile(W.smallSource());
-        ASSERT_TRUE(CR.OK) << W.Name << ": " << CR.Messages;
-        EngineRun Run =
-            runWith(P, *CR.M, workloadMachine(Mode, 4), ExecEngine::Bytecode);
-        ASSERT_TRUE(Run.R.OK) << W.Name << ": " << Run.R.Error;
-        std::string What = W.Name +
-                           (Mode == RunMode::Simple ? "/simple" : "/opt") +
-                           "/pass-threads=" + std::to_string(Threads);
-        if (Threads == 1) { // Serial run defines the reference artifact.
-          Printed = printModule(*CR.M);
-          Remarks = CR.Remarks.str();
-          ThreadedC = P.emitThreadedC(*CR.M);
-          Profile = Run.Profile;
-        } else {
-          EXPECT_EQ(Printed, printModule(*CR.M)) << What;
-          EXPECT_EQ(Remarks, CR.Remarks.str()) << What;
-          EXPECT_EQ(ThreadedC, P.emitThreadedC(*CR.M)) << What;
-          EXPECT_EQ(Profile, Run.Profile) << What;
-        }
-      }
-    }
-  }
-}
-
 // The profiler contract: the per-site communication profile is a pure
 // function of (module, machine configuration), not of the execution
-// strategy. Engine choice, superinstruction fusion and the lowering thread
-// count must all yield byte-identical serialized profiles.
-TEST(CommProfileTest, BitIdenticalAcrossEngineFuseAndLowerThreads) {
+// strategy. Engine and dispatch loop must yield byte-identical serialized
+// profiles.
+TEST(CommProfileTest, BitIdenticalAcrossEngines) {
   const Workload *W = findWorkload("health");
   ASSERT_NE(W, nullptr);
   MachineConfig MC = workloadMachine(RunMode::Optimized, 4);
-  std::string Baseline;
-  for (unsigned Threads : {1u, 4u}) {
-    PipelineOptions PO = workloadOptions(RunMode::Optimized);
-    PO.LowerThreads = Threads;
-    Pipeline P(PO);
-    CompileResult CR = P.compile(W->smallSource());
-    ASSERT_TRUE(CR.OK) << CR.Messages;
-    // The optimizer must have explained itself: remarks from both passes.
-    EXPECT_TRUE(CR.Remarks.hasPass("placement")) << "threads=" << Threads;
-    EXPECT_TRUE(CR.Remarks.hasPass("comm-select")) << "threads=" << Threads;
-    for (ExecEngine Engine : {ExecEngine::AST, ExecEngine::Bytecode}) {
-      for (bool Fuse : {true, false}) {
-        if (Engine == ExecEngine::AST && !Fuse)
-          continue; // fusion is a bytecode-only knob
-        std::string What = "threads=" + std::to_string(Threads) +
-                           (Engine == ExecEngine::AST ? "/ast" : "/bc") +
-                           (Fuse ? "/fuse=on" : "/fuse=off");
-        EngineRun Run = runWith(P, *CR.M, MC, Engine, Fuse);
-        ASSERT_TRUE(Run.R.OK) << What << ": " << Run.R.Error;
-        EXPECT_NE(Run.Profile.find("\"sites\""), std::string::npos) << What;
-        if (Baseline.empty())
-          Baseline = Run.Profile;
-        else
-          EXPECT_EQ(Baseline, Run.Profile) << What << ": profile diverges";
-      }
-    }
+  Pipeline P(workloadOptions(RunMode::Optimized));
+  CompileResult CR = P.compile(W->smallSource());
+  ASSERT_TRUE(CR.OK) << CR.Messages;
+  // The optimizer must have explained itself: remarks from both passes.
+  EXPECT_TRUE(CR.Remarks.hasPass("placement"));
+  EXPECT_TRUE(CR.Remarks.hasPass("comm-select"));
+  EngineRun Ast = runWith(P, *CR.M, MC, ExecEngine::AST);
+  ASSERT_TRUE(Ast.R.OK) << Ast.R.Error;
+  EXPECT_NE(Ast.Profile.find("\"sites\""), std::string::npos);
+  for (BcDispatch D : {BcDispatch::ComputedGoto, BcDispatch::Switch}) {
+    EngineRun Bc = runWith(P, *CR.M, MC, ExecEngine::Bytecode, D);
+    ASSERT_TRUE(Bc.R.OK) << Bc.R.Error;
+    EXPECT_EQ(Ast.Profile, Bc.Profile) << "profile diverges";
   }
-  EXPECT_FALSE(Baseline.empty());
 }
 
 // The rendered report joins static remarks with dynamic per-site numbers:
@@ -464,34 +265,26 @@ TEST(EngineErrorTest, IdenticalDiagnostics) {
 // Switch dispatch: lowering-mode selection and edge semantics. The observable
 // contract is the AST walker's first-match scan over the source-ordered
 // cases; these tests pin it across dense jump tables, sorted fallback and
-// the linear path, under both dispatch loops and both streams.
+// the linear path, under both dispatch loops.
 //===----------------------------------------------------------------------===//
 
-/// The BcSwitchMode annotation of the single Switch instruction in \p Fn,
-/// asserting the fused stream carries the same annotation.
+/// The BcSwitchMode annotation of the single Switch instruction in \p Fn.
 BcSwitchMode switchModeOf(const Module &M, const std::string &Fn) {
   const BytecodeModule &BM = getOrLowerBytecode(M);
   for (const auto &BF : BM.Funcs) {
     if (BF->Fn->name() != Fn)
       continue;
-    for (size_t I = 0; I != BF->Code.size(); ++I) {
-      if (BF->Code[I].Op != BcOp::Switch)
-        continue;
-      if (!BF->FusedCode.empty()) {
-        EXPECT_EQ(BF->FusedCode[I].Op, BcOp::Switch) << Fn;
-        EXPECT_EQ(BF->FusedCode[I].Sub, BF->Code[I].Sub)
-            << Fn << ": fused stream lost the dispatch annotation";
-      }
-      return static_cast<BcSwitchMode>(BF->Code[I].Sub);
-    }
+    for (const BcInsn &I : BF->Code)
+      if (I.Op == BcOp::Switch)
+        return static_cast<BcSwitchMode>(I.Sub);
   }
   ADD_FAILURE() << "no Switch instruction lowered in " << Fn;
   return BcSwitchMode::Linear;
 }
 
 /// Compiles (unoptimized) and runs \p Src under the AST walker and the
-/// bytecode engine at {fuse on/off} x {goto/switch}, asserting all five
-/// runs are indistinguishable; returns the compile for lowering checks
+/// bytecode engine under both dispatch loops, asserting all three runs are
+/// indistinguishable; returns the compile for lowering checks
 /// plus the agreed exit value via \p Exit.
 CompileResult runSwitchProgram(const std::string &Src, const std::string &What,
                                int64_t &Exit) {
@@ -504,13 +297,12 @@ CompileResult runSwitchProgram(const std::string &Src, const std::string &What,
   MC.NumNodes = 2;
   auto Ast = runWith(P, *CR.M, MC, ExecEngine::AST);
   EXPECT_TRUE(Ast.R.OK) << What << ": " << Ast.R.Error;
-  for (bool Fuse : {true, false})
-    for (BcDispatch D : {BcDispatch::ComputedGoto, BcDispatch::Switch}) {
-      auto Bc = runWith(P, *CR.M, MC, ExecEngine::Bytecode, Fuse, D);
-      expectIdentical(Ast, Bc,
-                      What + "/fuse=" + (Fuse ? "on" : "off") + "/dispatch=" +
-                          (D == BcDispatch::ComputedGoto ? "goto" : "switch"));
-    }
+  for (BcDispatch D : {BcDispatch::ComputedGoto, BcDispatch::Switch}) {
+    auto Bc = runWith(P, *CR.M, MC, ExecEngine::Bytecode, D);
+    expectIdentical(Ast, Bc,
+                    What + "/dispatch=" +
+                        (D == BcDispatch::ComputedGoto ? "goto" : "switch"));
+  }
   Exit = Ast.R.ExitValue.I;
   return CR;
 }

@@ -556,4 +556,67 @@ TEST(SemaErrorTest, StructSelfContainmentRejected) {
   EXPECT_TRUE(Diags.hasErrors());
 }
 
+//===----------------------------------------------------------------------===//
+// Nesting limit: input nested past MaxNestingDepth gets one located
+// diagnostic instead of exhausting the stack.
+//===----------------------------------------------------------------------===//
+
+/// \p Body wrapped in a function with an int local `x`.
+std::string inMain(const std::string &Body) {
+  return "int main() { int x; x = 0;\n" + Body + "\nreturn x; }";
+}
+
+std::string repeat(const std::string &S, unsigned N) {
+  std::string Out;
+  Out.reserve(S.size() * N);
+  for (unsigned I = 0; I != N; ++I)
+    Out += S;
+  return Out;
+}
+
+void expectTooDeep(const std::string &Src) {
+  DiagnosticsEngine Diags;
+  compileToSimple(Src, Diags);
+  ASSERT_EQ(Diags.errorCount(), 1u) << Diags.str().substr(0, 500);
+  const Diagnostic &D = Diags.all().front();
+  EXPECT_NE(D.Message.find("nesting too deep"), std::string::npos)
+      << D.Message;
+  EXPECT_NE(D.Message.find(std::to_string(MaxNestingDepth)),
+            std::string::npos)
+      << D.Message;
+  EXPECT_EQ(D.Loc.Line, 2u) << D.str();
+  EXPECT_GT(D.Loc.Col, 1u) << D.str();
+}
+
+TEST(NestingLimitTest, DeepIfNesting) {
+  expectTooDeep(inMain(repeat("if (x) ", 5000) + "x = 1;"));
+}
+
+TEST(NestingLimitTest, DeepParentheses) {
+  expectTooDeep(
+      inMain("x = " + repeat("(", 20000) + "1" + repeat(")", 20000) + ";"));
+}
+
+TEST(NestingLimitTest, LongUnaryChain) {
+  expectTooDeep(inMain("x = " + repeat("- ", 50000) + "1;"));
+}
+
+TEST(NestingLimitTest, LongElseIfChain) {
+  std::string Chain = "if (x == 0) x = 1;";
+  for (unsigned I = 1; I != 5000; ++I)
+    Chain += " else if (x == " + std::to_string(I) + ") x = 1;";
+  expectTooDeep(inMain(Chain));
+}
+
+TEST(NestingLimitTest, LongBinaryChain) {
+  expectTooDeep(inMain("x = 1" + repeat(" + 1", 99999) + ";"));
+}
+
+TEST(NestingLimitTest, C99MinimumsStillCompile) {
+  // 127 nested blocks and 63 nested parentheses, each well inside the limit.
+  compileOK(inMain(repeat("{ ", 127) + "x = 1;" + repeat(" }", 127)));
+  compileOK(inMain("x = " + repeat("(", 63) + "1" + repeat(")", 63) + ";"));
+  compileOK(inMain("x = 1" + repeat(" + 1", 200) + ";"));
+}
+
 } // namespace

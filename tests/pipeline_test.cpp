@@ -4,7 +4,6 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "driver/Driver.h"
 #include "driver/Pipeline.h"
 #include "support/Trace.h"
 
@@ -84,14 +83,12 @@ TEST(PipelineOptionsTest, ConvertsFromCompileRequest) {
   Req.InferLocality = true;
   Req.Comm.BlockThresholdWords = 5;
   Req.Comm.EnableWriteBlocking = false;
-  Req.LowerThreads = 3;
 
   PipelineOptions PO(Req);
   EXPECT_FALSE(PO.Optimize);
   EXPECT_TRUE(PO.InferLocality);
   EXPECT_EQ(PO.BlockThresholdWords, 5u);
   EXPECT_FALSE(PO.EnableWriteBlocking);
-  EXPECT_EQ(PO.LowerThreads, 3u);
   // The CommOptions view is the object itself, knobs flattened.
   EXPECT_EQ(PO.comm().BlockThresholdWords, 5u);
 }
@@ -260,10 +257,4 @@ TEST(PipelineTest, RequestDrivenCompileAndRun) {
   ASSERT_TRUE(ViaConfig.OK);
   EXPECT_EQ(R.TimeNs, ViaConfig.TimeNs);
   EXPECT_EQ(R.Counters.total(), ViaConfig.Counters.total());
-
-  // And to the deprecated Driver.h shim, which forwards here.
-  RunResult ViaShim = compileAndRun(Program, machine(2),
-                                    PipelineOptions::optimized());
-  ASSERT_TRUE(ViaShim.OK);
-  EXPECT_EQ(R.TimeNs, ViaShim.TimeNs);
 }

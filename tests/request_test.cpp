@@ -59,15 +59,6 @@ TEST(CompileRequestKeyTest, ResultDeterminingFieldsPerturbKey) {
   EXPECT_NE(Base.keyBytes(), Knockout.keyBytes());
 }
 
-TEST(CompileRequestKeyTest, HostOnlyKnobsDoNotPerturbKey) {
-  CompileRequest A = CompileRequest::optimized(Src);
-  CompileRequest B = A;
-  B.LowerThreads = 8; // bit-identical output at any setting
-  EXPECT_EQ(A.keyBytes(), B.keyBytes());
-  B.PassThreads = 8; // same contract as LowerThreads
-  EXPECT_EQ(A.keyBytes(), B.keyBytes());
-}
-
 TEST(CompileRequestKeyTest, SourceIsLengthPrefixed) {
   // Concatenation attacks must not collide: source bytes are length-
   // prefixed in the serialization, so a source that *contains* another
@@ -88,10 +79,6 @@ TEST(RunRequestKeyTest, ResultDeterminingFieldsPerturbKey) {
   RunRequest Engine = Base;
   Engine.Engine = ExecEngine::AST;
   EXPECT_NE(Base.keyBytes(), Engine.keyBytes());
-
-  RunRequest Fuse = Base;
-  Fuse.Fuse = !Base.Fuse;
-  EXPECT_NE(Base.keyBytes(), Fuse.keyBytes());
 
   RunRequest Seq = Base;
   Seq.Sequential = true;
@@ -117,7 +104,7 @@ TEST(RunRequestKeyTest, ResultDeterminingFieldsPerturbKey) {
 TEST(RunRequestKeyTest, NetworkModelFieldsPerturbKey) {
   // Topology, distribution and the network parameters change *simulated*
   // results (contention reorders completion times; the distribution moves
-  // data between owners) — unlike engine/fuse/dispatch, every one of them
+  // data between owners) — unlike engine/dispatch, every one of them
   // must split the cache.
   RunRequest Base;
 
@@ -164,7 +151,7 @@ TEST(RunRequestKeyTest, DispatchDoesNotPerturbKey) {
   // Dispatch selects the bytecode inner loop, which is bit-identical by
   // contract (the engine equivalence sweep pins it) — a request served on
   // a portable-switch build and a computed-goto build must map to the
-  // same cached artifact, the same contract as LowerThreads/PassThreads.
+  // same cached artifact, the same contract as the trace sink and profiler.
   RunRequest A;
   RunRequest B = A;
   B.Dispatch = A.Dispatch == BcDispatch::ComputedGoto
@@ -177,8 +164,8 @@ TEST(RunRequestKeyTest, DispatchDoesNotPerturbKey) {
 }
 
 TEST(RunRequestKeyTest, MetricsExpositionIsKeyNeutral) {
-  // Metrics are host-side observability, same contract as engine / fuse /
-  // dispatch / trace sinks: no metrics or exposition option may be request
+  // Metrics are host-side observability, same contract as dispatch / trace
+  // sinks: no metrics or exposition option may be request
   // content. First, the option table must not publish one — --metrics,
   // --profile-diff and the serve "metrics" op are driver-surface flags.
   for (const RequestOption &O : requestOptions())
@@ -210,7 +197,7 @@ TEST(RunRequestKeyTest, MetricsExpositionIsKeyNeutral) {
 namespace {
 
 /// Every keyed field set explicitly, so the process-default environment
-/// (EARTHCC_FUSE, EARTHCC_TOPOLOGY) cannot move the expected bytes.
+/// (EARTHCC_TOPOLOGY) cannot move the expected bytes.
 CompileRequest pinnedCompileRequest() {
   CompileRequest C = CompileRequest::optimized(
       "int main() {\n  return 7; // x=1;y\r\n}\n");
@@ -230,7 +217,6 @@ RunRequest pinnedRunRequest() {
   R.Nodes = 16;
   R.Sequential = false;
   R.Engine = ExecEngine::Bytecode;
-  R.Fuse = true;
   R.AllowNullReads = false;
   R.MaxSteps = 1000000;
   R.EUQuantum = 64;
@@ -260,17 +246,17 @@ TEST(KeyBytesPinnedTest, CompileRequestKeyBytes) {
 TEST(KeyBytesPinnedTest, RunRequestKeyBytes) {
   RunRequest R = pinnedRunRequest();
   EXPECT_EQ(R.keyBytes(),
-            "earthcc-run-v2;entry=4:main;args=4;"
+            "earthcc-run-v3;entry=4:main;args=4;"
             "arg-int=18446744073709551613;arg-dbl=0.10000000000000001;"
             "arg=5:undef;arg-ptr=5:n2:17;nodes=16;sequential=0;"
             "topology=7:torus2d;distribution=5:block;net-hop=450;"
-            "net-link-word=0.33333333333333331;dist-block=4;engine=1;fuse=1;"
+            "net-link-word=0.33333333333333331;dist-block=4;engine=1;"
             "null-reads=0;max-steps=1000000;quantum=64;read-issue=1908;"
             "write-issue=1749;blk-issue=2602;net-delay=1234.5;su-read=1601;"
             "su-write=1109;su-blk=3338;su-atomic=1601;per-word=160;"
             "local-fallback=250;local-blk-word=4;stmt=40;copy=10;"
             "local-access=20;call=200;return=100;spawn=600;ctx-switch=400;");
-  EXPECT_EQ(R.keyHex(), "ae579988bcfbf3c6");
+  EXPECT_EQ(R.keyHex(), "5a147437c13cd2c5");
 }
 
 TEST(RunRequestKeyTest, SequentialNormalizesNodeCount) {
@@ -288,7 +274,7 @@ TEST(RunRequestTest, DefaultsMirrorMachineConfig) {
   RunRequest R;
   MachineConfig MC;
   EXPECT_EQ(R.Engine, MC.Engine);
-  EXPECT_EQ(R.Fuse, MC.Fuse);
+  EXPECT_EQ(R.Dispatch, MC.Dispatch);
   EXPECT_EQ(R.MaxSteps, MC.MaxSteps);
   EXPECT_EQ(R.EUQuantum, MC.EUQuantum);
   EXPECT_EQ(R.machine().Costs.NetDelay, MC.Costs.NetDelay);
@@ -306,8 +292,6 @@ TEST(OptionTableTest, AppliesEveryPublishedKnob) {
   EXPECT_EQ(R.Nodes, 8u);
   EXPECT_TRUE(applyRequestOption(C, R, "engine", "ast", Err)) << Err;
   EXPECT_EQ(R.Engine, ExecEngine::AST);
-  EXPECT_TRUE(applyRequestOption(C, R, "fuse", "off", Err)) << Err;
-  EXPECT_FALSE(R.Fuse);
   EXPECT_TRUE(applyRequestOption(C, R, "no-opt", "", Err)) << Err;
   EXPECT_FALSE(C.Optimize);
   EXPECT_TRUE(applyRequestOption(C, R, "locality", "on", Err)) << Err;
@@ -316,8 +300,6 @@ TEST(OptionTableTest, AppliesEveryPublishedKnob) {
   EXPECT_EQ(C.Comm.BlockThresholdWords, 5u);
   EXPECT_TRUE(applyRequestOption(C, R, "entry", "start", Err)) << Err;
   EXPECT_EQ(R.Entry, "start");
-  EXPECT_TRUE(applyRequestOption(C, R, "lower-threads", "4", Err)) << Err;
-  EXPECT_EQ(C.LowerThreads, 4u);
   EXPECT_TRUE(applyRequestOption(C, R, "max-steps", "1000", Err)) << Err;
   EXPECT_EQ(R.MaxSteps, 1000u);
   EXPECT_TRUE(applyRequestOption(C, R, "quantum", "16", Err)) << Err;
@@ -350,7 +332,6 @@ TEST(OptionTableTest, RejectsMalformedInput) {
   EXPECT_FALSE(applyRequestOption(C, R, "engine", "quantum", Err));
   EXPECT_FALSE(applyRequestOption(C, R, "nodes", "0", Err));
   EXPECT_FALSE(applyRequestOption(C, R, "nodes", "abc", Err));
-  EXPECT_FALSE(applyRequestOption(C, R, "fuse", "maybe", Err));
   EXPECT_FALSE(applyRequestOption(C, R, "dispatch", "jump", Err));
   // Oversized machines get a diagnostic naming the ceiling, not an
   // allocation storm.
@@ -368,17 +349,31 @@ TEST(OptionTableTest, RejectsMalformedInput) {
   EXPECT_FALSE(applyRequestOption(C, R, "dist-block", "0", Err));
 }
 
-TEST(OptionTableTest, EnvironmentGoesThroughTheSameTable) {
-  // EARTHCC_FUSE is declared on the `fuse` entry: applyRequestEnv must
-  // read it and apply the same setter the CLI and the JSON protocol use.
-  ASSERT_EQ(setenv("EARTHCC_FUSE", "off", 1), 0);
+TEST(OptionTableTest, RetiredKnobsAreUnknown) {
+  // Superinstruction fusion and the lowering / pass thread fan-outs are
+  // gone: their flags are rejected like any other unknown option.
   CompileRequest C;
   RunRequest R;
-  R.Fuse = true;
+  for (const char *Name : {"fuse", "lower-threads", "pass-threads"}) {
+    std::string Err;
+    EXPECT_FALSE(applyRequestOption(C, R, Name, "1", Err)) << Name;
+    EXPECT_NE(Err.find("unknown option"), std::string::npos) << Err;
+  }
+}
+
+TEST(OptionTableTest, EnvironmentGoesThroughTheSameTable) {
+  // EARTHCC_DISPATCH is declared on the `dispatch` entry: applyRequestEnv
+  // must read it and apply the same setter the CLI and the JSON protocol
+  // use. The requests are built first, so the process-wide default (read
+  // once from the same variable) is not affected.
+  CompileRequest C;
+  RunRequest R;
+  R.Dispatch = BcDispatch::ComputedGoto;
+  ASSERT_EQ(setenv("EARTHCC_DISPATCH", "switch", 1), 0);
   std::string Err;
   EXPECT_TRUE(applyRequestEnv(C, R, Err)) << Err;
-  EXPECT_FALSE(R.Fuse);
-  ASSERT_EQ(unsetenv("EARTHCC_FUSE"), 0);
+  EXPECT_EQ(R.Dispatch, BcDispatch::Switch);
+  ASSERT_EQ(unsetenv("EARTHCC_DISPATCH"), 0);
 }
 
 TEST(OptionTableTest, TableEntriesAreWellFormed) {

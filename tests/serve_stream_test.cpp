@@ -14,6 +14,9 @@
 //  - Response-line integrity: under a pipelined burst on four workers,
 //    every stdout line is exactly one JSON object and the response ids are
 //    exactly the request ids.
+//  - Survival: requests the server must refuse (nesting past the parser's
+//    limit, retired option fields) get an error response, and the
+//    requests after them are still answered.
 //
 //===----------------------------------------------------------------------===//
 
@@ -205,4 +208,34 @@ TEST(ServeStreamTest, PipelinedBurstKeepsResponseLinesWhole) {
     Hits += R.getBool("cache_hit", false);
   EXPECT_GT(Hits, 0);
   EXPECT_LT(Hits, Requests);
+}
+
+TEST(ServeStreamTest, RefusedRequestsLeaveTheServerRunning) {
+  const std::string Deep = "int main() { int x; x = " +
+                           std::string(20000, '(') + "1" +
+                           std::string(20000, ')') + "; return x; }";
+  std::string Stream;
+  Stream += runLine(1, Deep, 0) + "\n";
+  Stream += runLine(2, Program, 3) + "\n";
+  Stream += runLine(3, Program, 3, ",\"fuse\":\"off\"") + "\n";
+  Stream += runLine(4, Program, 3, ",\"lower-threads\":4") + "\n";
+  Stream += runLine(5, Program, 3, ",\"pass-threads\":4") + "\n";
+  Stream += runLine(6, Program, 4) + "\n";
+  Stream += "{\"id\":7,\"op\":\"shutdown\"}\n";
+
+  std::map<int, json::Value> Got = byId(parseLines(runCli("", Stream)));
+  ASSERT_EQ(Got.size(), 7u);
+  EXPECT_FALSE(Got[1].getBool("ok", true));
+  EXPECT_NE(Got[1].str().find("nesting too deep"), std::string::npos)
+      << Got[1].str().substr(0, 300);
+  for (int Id : {3, 4, 5}) {
+    EXPECT_FALSE(Got[Id].getBool("ok", true)) << Id;
+    EXPECT_NE(Got[Id].str().find("unknown option"), std::string::npos)
+        << Got[Id].str();
+  }
+  EXPECT_TRUE(Got[2].getBool("ok", false)) << Got[2].str();
+  EXPECT_EQ(Got[2].find("exit")->str(), "3");
+  EXPECT_TRUE(Got[6].getBool("ok", false)) << Got[6].str();
+  EXPECT_EQ(Got[6].find("exit")->str(), "6");
+  EXPECT_EQ(Got[7].getString("op", ""), "shutdown");
 }

@@ -5,8 +5,9 @@
 // The service's contracts, each pinned under concurrency where it matters:
 //
 //  - Cache identity: requests differing in a result-determining option
-//    (engine, fuse, node count, optimization) are distinct artifacts;
-//    requests differing only in instrumentation (trace sink) share one.
+//    (engine, node count, optimization) are distinct artifacts; requests
+//    differing only in a host-only knob (dispatch loop) or instrumentation
+//    (trace sink) share one.
 //  - Single-flight: N concurrent identical requests execute the pipeline
 //    exactly once — the others join the in-flight computation.
 //  - Eviction: completed artifacts respect the byte budget LRU-wise; the
@@ -90,11 +91,9 @@ TEST(ServiceCompileTest, HitOnIdenticalMissOnDifferentOptions) {
   EXPECT_FALSE(Simple.CacheHit);
   EXPECT_NE(Simple.Key, First.Key);
 
-  // A host-only knob is the same artifact.
-  CompileRequest MoreThreads = Opt;
-  MoreThreads.LowerThreads = 4;
-  MoreThreads.PassThreads = 4;
-  EXPECT_TRUE(S.submitCompile(MoreThreads).get().CacheHit);
+  // The same fields rebuilt from scratch are the same artifact.
+  EXPECT_TRUE(
+      S.submitCompile(CompileRequest::optimized(Program)).get().CacheHit);
 
   ServiceStats St = S.stats();
   EXPECT_EQ(St.CompileRequests, 4u);
@@ -118,7 +117,7 @@ TEST(ServiceRunTest, KeyedOptionsMissInstrumentationHits) {
   EXPECT_TRUE(R2.CompileCacheHit);
   EXPECT_EQ(R2.Sim.get(), R1.Sim.get());
 
-  // Engine, fuse and node count are keyed: each is a distinct simulated
+  // Engine and node count are keyed: each is a distinct simulated
   // artifact (conservative identity), even though results are equal.
   RunRequest Ast = Base;
   Ast.Engine = ExecEngine::AST;
@@ -128,9 +127,12 @@ TEST(ServiceRunTest, KeyedOptionsMissInstrumentationHits) {
   EXPECT_EQ(RAst.Sim->TimeNs, R1.Sim->TimeNs);
   EXPECT_EQ(RAst.Sim->Counters.total(), R1.Sim->Counters.total());
 
-  RunRequest NoFuse = Base;
-  NoFuse.Fuse = !Base.Fuse;
-  EXPECT_FALSE(S.submitRun(CReq, NoFuse).get().CacheHit);
+  // The dispatch loop is a host-only knob: same artifact.
+  RunRequest OtherLoop = Base;
+  OtherLoop.Dispatch = Base.Dispatch == BcDispatch::ComputedGoto
+                           ? BcDispatch::Switch
+                           : BcDispatch::ComputedGoto;
+  EXPECT_TRUE(S.submitRun(CReq, OtherLoop).get().CacheHit);
 
   RunRequest EightNodes = Base;
   EightNodes.Nodes = 8;
@@ -146,7 +148,7 @@ TEST(ServiceRunTest, KeyedOptionsMissInstrumentationHits) {
   EXPECT_EQ(RTraced.Sim.get(), R1.Sim.get());
 
   ServiceStats St = S.stats();
-  EXPECT_EQ(St.RunExecutions, 4u); // base, ast, nofuse, 8 nodes
+  EXPECT_EQ(St.RunExecutions, 3u); // base, ast, 8 nodes
   EXPECT_EQ(St.CompileExecutions, 1u);
 }
 

@@ -8,15 +8,10 @@
 #include "support/Diagnostics.h"
 #include "support/Statistics.h"
 #include "support/TablePrinter.h"
-#include "support/ThreadPool.h"
 #include "support/Trace.h"
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <chrono>
-#include <stdexcept>
-#include <thread>
 #include <vector>
 
 using namespace earthcc;
@@ -342,62 +337,4 @@ TEST(CommProfilerTest, RecordLatencyStandsAloneWithoutMsgs) {
   EXPECT_EQ(S.LatMaxNs, 9u);
   EXPECT_EQ(S.latencyPercentileNs(50), 5u);
   EXPECT_EQ(S.latencyPercentileNs(100), 9u);
-}
-
-//===----------------------------------------------------------------------===//
-// ThreadPool: parallelFor index coverage and failure semantics.
-//===----------------------------------------------------------------------===//
-
-TEST(ThreadPoolTest, ParallelForRunsEachIndexExactlyOnce) {
-  ThreadPool Pool(4);
-  // Each index is claimed by exactly one worker, so the per-index writes
-  // cannot race.
-  std::vector<int> Hits(1000, 0);
-  Pool.parallelFor(Hits.size(), [&](size_t I) { ++Hits[I]; });
-  for (size_t I = 0; I != Hits.size(); ++I)
-    ASSERT_EQ(Hits[I], 1) << I;
-}
-
-TEST(ThreadPoolTest, ParallelForThrowSkipsTrailingIndicesOnOneThread) {
-  ThreadPool Pool(1);
-  std::vector<size_t> Ran;
-  bool Threw = false;
-  try {
-    Pool.parallelFor(8, [&](size_t I) {
-      Ran.push_back(I);
-      if (I == 2)
-        throw std::runtime_error("boom");
-    });
-  } catch (const std::runtime_error &E) {
-    Threw = true;
-    EXPECT_STREQ(E.what(), "boom");
-  }
-  EXPECT_TRUE(Threw);
-  // The failing index is the last body to run: indices 3..7 are never
-  // claimed once the failure flag is up.
-  EXPECT_EQ(Ran, (std::vector<size_t>{0, 1, 2}));
-}
-
-TEST(ThreadPoolTest, ParallelForStopsClaimingAfterFailure) {
-  ThreadPool Pool(2);
-  std::atomic<size_t> Executed{0};
-  bool Threw = false;
-  try {
-    Pool.parallelFor(1000, [&](size_t I) {
-      if (I == 0)
-        throw std::runtime_error("boom");
-      ++Executed;
-      // Slow the healthy lane's claim rate so the failure flag is up well
-      // before it could sweep the index space.
-      std::this_thread::sleep_for(std::chrono::microseconds(200));
-    });
-  } catch (const std::runtime_error &) {
-    Threw = true;
-  }
-  EXPECT_TRUE(Threw);
-  // Without the shared failure flag the healthy lane grinds through all
-  // ~999 remaining indices; with it, only the bodies already in flight
-  // (plus a tiny claim-race window) complete. The bound is deliberately
-  // loose — it separates "stopped promptly" from "ran everything".
-  EXPECT_LT(Executed.load(), 500u);
 }
