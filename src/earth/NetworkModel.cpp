@@ -6,10 +6,13 @@
 // fattree) share one store-and-forward core: a transfer occupies each link
 // of its route in order, each link is a FIFO server in simulated time
 // (`FreeAt` clock), and occupancy is HopNs + Words * WordNs per link. The
-// per-link `Busy` deque tracks departures that have not yet drained so peak
-// queue depth is observable; `PairWords` records every injected transfer
-// for the conservation tests (per-link words summed over routes must equal
-// the re-routed pair matrix).
+// per-link `Busy` array (a sorted vector plus a head index) tracks
+// departures that have not yet drained so peak queue depth is observable;
+// `PairWords` records every injected transfer for the conservation tests
+// (per-link words summed over routes must equal the re-routed pair matrix).
+// A transfer follows its pair's entry in a flat route table, filled from
+// the topology's pure route walk the first time the pair is used, so the
+// per-transfer path allocates nothing once a link's queue buffer has grown.
 //
 //===----------------------------------------------------------------------===//
 
@@ -17,7 +20,6 @@
 
 #include <cassert>
 #include <cmath>
-#include <deque>
 #include <string>
 
 namespace earthcc {
@@ -103,26 +105,36 @@ class RoutedNetwork : public NetworkModel {
 public:
   RoutedNetwork(Topology Topo, unsigned NumNodes, const CostModel &C)
       : NetworkModel(Topo, NumNodes, C),
-        PairWords(size_t(NumNodes) * NumNodes, 0) {}
+        PairWords(size_t(NumNodes) * NumNodes, 0),
+        Routes(size_t(NumNodes) * NumNodes) {}
 
   double transferDone(unsigned From, unsigned To, uint64_t Words,
                       double IssueTime) override {
     if (From == To) // local delivery never touches the network
       return IssueTime;
-    PairWords[size_t(From) * numNodes() + To] += Words;
+    const size_t Pair = size_t(From) * numNodes() + To;
+    PairWords[Pair] += Words;
+    RouteSpan &R = Routes[Pair];
+    if (R.Begin == Unrouted)
+      fillRoute(R, From, To);
     double T = IssueTime;
-    for (unsigned Idx : route(From, To)) {
-      Link &L = Links[Idx];
+    const unsigned *Hop = RouteLinks.data() + R.Begin;
+    for (const unsigned *End = Hop + R.Len; Hop != End; ++Hop) {
+      Link &L = Links[*Hop];
       // Drain transfers that have already left the link by time T, then
       // queue behind whatever is still occupying it (FIFO in simulated
       // time — this is where contention serializes).
-      while (!L.Busy.empty() && L.Busy.front() <= T)
-        L.Busy.pop_front();
+      L.drainUntil(T);
       double Depart = std::max(T, L.FreeAt);
       double Hold = L.HopNs + L.WordNs * static_cast<double>(Words);
       L.FreeAt = Depart + Hold;
+      // Hold >= 0 (the knobs are non-negative), so a link's departures are
+      // pushed in order and the queue is a sorted array: draining pops a
+      // prefix.
+      assert((L.Busy.empty() || L.Busy.back() <= L.FreeAt) &&
+             "link departures must be pushed in order");
       L.Busy.push_back(L.FreeAt);
-      L.MaxDepth = std::max(L.MaxDepth, static_cast<unsigned>(L.Busy.size()));
+      L.MaxDepth = std::max(L.MaxDepth, L.depth());
       ++L.Msgs;
       L.Words += Words;
       L.BusyNs += Hold;
@@ -134,8 +146,17 @@ public:
   std::vector<NetLinkStats> linkStats() const override {
     std::vector<NetLinkStats> Out;
     Out.reserve(Links.size());
-    for (const Link &L : Links)
-      Out.push_back({L.Name, L.Msgs, L.Words, L.BusyNs, L.MaxDepth});
+    for (unsigned I = 0; I != Links.size(); ++I) {
+      const Link &L = Links[I];
+      Out.push_back({linkName(I), L.Msgs, L.Words, L.BusyNs, L.MaxDepth});
+    }
+    return Out;
+  }
+
+  std::vector<unsigned> route(unsigned From, unsigned To) const final {
+    std::vector<unsigned> Out;
+    if (From != To)
+      walkRoute(From, To, Out);
     return Out;
   }
 
@@ -145,20 +166,49 @@ public:
 
 protected:
   struct Link {
-    std::string Name;
     double HopNs = 0.0;
     double WordNs = 0.0;
     double FreeAt = 0.0;
+    double BusyNs = 0.0;
     uint64_t Msgs = 0;
     uint64_t Words = 0;
-    double BusyNs = 0.0;
     unsigned MaxDepth = 0;
-    std::deque<double> Busy; ///< Departure times not yet in the past.
+    /// Naming coordinates (endpoints, or level and child), formatted by
+    /// linkName() only when stats are read.
+    unsigned A = 0, B = 0;
+    /// Departure times still in the future: Busy[Head..) (sorted).
+    unsigned Head = 0;
+    std::vector<double> Busy;
+
+    unsigned depth() const { return static_cast<unsigned>(Busy.size()) - Head; }
+
+    /// Drops the departures at or before \p T. A drained queue is reset in
+    /// place; a long-lived backlog is compacted once its dead prefix is
+    /// half the buffer, so the buffer stays bounded by twice the depth.
+    void drainUntil(double T) {
+      while (Head != Busy.size() && Busy[Head] <= T)
+        ++Head;
+      if (Head == Busy.size()) {
+        Busy.clear();
+        Head = 0;
+      } else if (Head >= 32 && 2 * Head >= Busy.size()) {
+        Busy.erase(Busy.begin(), Busy.begin() + Head);
+        Head = 0;
+      }
+    }
   };
 
-  unsigned addLink(std::string Name, double HopNs, double WordNs) {
+  /// Appends the links of From -> To (From != To) to \p Out, in order. The
+  /// pure topology walk behind both route() and the route table.
+  virtual void walkRoute(unsigned From, unsigned To,
+                         std::vector<unsigned> &Out) const = 0;
+  /// Display name of link \p Idx (built on demand, never per transfer).
+  virtual std::string linkName(unsigned Idx) const = 0;
+
+  unsigned addLink(unsigned A, unsigned B, double HopNs, double WordNs) {
     Link L;
-    L.Name = std::move(Name);
+    L.A = A;
+    L.B = B;
     L.HopNs = HopNs;
     L.WordNs = WordNs;
     Links.push_back(std::move(L));
@@ -166,7 +216,27 @@ protected:
   }
 
   std::vector<Link> Links;
+
+private:
+  /// One (From, To) entry of the route table: its links are
+  /// RouteLinks[Begin .. Begin + Len).
+  static constexpr uint32_t Unrouted = UINT32_MAX;
+  struct RouteSpan {
+    uint32_t Begin = Unrouted;
+    uint32_t Len = 0;
+  };
+
+  /// Walks a pair's route the first time the pair is used.
+  void fillRoute(RouteSpan &R, unsigned From, unsigned To) {
+    size_t Begin = RouteLinks.size();
+    walkRoute(From, To, RouteLinks);
+    R.Begin = static_cast<uint32_t>(Begin);
+    R.Len = static_cast<uint32_t>(RouteLinks.size() - Begin);
+  }
+
   std::vector<uint64_t> PairWords;
+  std::vector<RouteSpan> Routes;   ///< NumNodes x NumNodes, row = source.
+  std::vector<unsigned> RouteLinks; ///< Every filled route's links, packed.
 };
 
 /// One shared medium: every remote transfer serializes through the same
@@ -176,14 +246,14 @@ class BusNetwork final : public RoutedNetwork {
 public:
   BusNetwork(unsigned NumNodes, const CostModel &C, double WordNs)
       : RoutedNetwork(Topology::Bus, NumNodes, C) {
-    addLink("bus", C.NetDelay, WordNs);
+    addLink(0, 0, C.NetDelay, WordNs);
   }
 
-  std::vector<unsigned> route(unsigned From, unsigned To) const override {
-    if (From == To)
-      return {};
-    return {0};
+private:
+  void walkRoute(unsigned, unsigned, std::vector<unsigned> &Out) const override {
+    Out.push_back(0);
   }
+  std::string linkName(unsigned) const override { return "bus"; }
 };
 
 /// 2-D grid (mesh) or rings (torus) over a Side x Rows arrangement where
@@ -207,9 +277,7 @@ public:
     auto Connect = [&](unsigned A, unsigned B) {
       if (LinkAt[Key(A, B)] >= 0)
         return;
-      LinkAt[Key(A, B)] = static_cast<int>(
-          addLink("n" + std::to_string(A) + "->" + std::to_string(B), HopNs,
-                  WordNs));
+      LinkAt[Key(A, B)] = static_cast<int>(addLink(A, B, HopNs, WordNs));
     };
     for (unsigned N = 0; N != numNodes(); ++N) {
       unsigned X = N % Side, Y = N / Side;
@@ -233,10 +301,9 @@ public:
     }
   }
 
-  std::vector<unsigned> route(unsigned From, unsigned To) const override {
-    std::vector<unsigned> Out;
-    if (From == To)
-      return Out;
+private:
+  void walkRoute(unsigned From, unsigned To,
+                 std::vector<unsigned> &Out) const override {
     unsigned Y1 = From / Side;
     unsigned X2 = To % Side, Y2 = To / Side;
     unsigned Cur = From;
@@ -267,10 +334,13 @@ public:
       WalkY(Y2);
       WalkX(X2);
     }
-    return Out;
   }
 
-private:
+  std::string linkName(unsigned Idx) const override {
+    const Link &L = Links[Idx];
+    return "n" + std::to_string(L.A) + "->" + std::to_string(L.B);
+  }
+
   static unsigned gridSide(unsigned N) {
     unsigned S = static_cast<unsigned>(std::ceil(std::sqrt(double(N))));
     return std::max(1u, S);
@@ -316,20 +386,17 @@ public:
       double LevelWordNs = WordNs / double(1u << (Level - 1));
       UpBase.push_back(static_cast<unsigned>(Links.size()));
       for (unsigned Child = 0; Child != Entities; ++Child)
-        addLink("up" + std::to_string(Level) + "." + std::to_string(Child),
-                HopNs, LevelWordNs);
+        addLink(Level, Child, HopNs, LevelWordNs);
       DownBase.push_back(static_cast<unsigned>(Links.size()));
       for (unsigned Child = 0; Child != Entities; ++Child)
-        addLink("dn" + std::to_string(Level) + "." + std::to_string(Child),
-                HopNs, LevelWordNs);
+        addLink(Level, Child, HopNs, LevelWordNs);
       Entities = (Entities + 3) / 4;
     }
   }
 
-  std::vector<unsigned> route(unsigned From, unsigned To) const override {
-    std::vector<unsigned> Out;
-    if (From == To)
-      return Out;
+private:
+  void walkRoute(unsigned From, unsigned To,
+                 std::vector<unsigned> &Out) const override {
     // Lowest common ancestor level: smallest l with From/4^l == To/4^l.
     unsigned Lca = 0;
     for (unsigned A = From, B = To; A != B; A >>= 2, B >>= 2)
@@ -338,10 +405,15 @@ public:
       Out.push_back(UpBase[L - 1] + (From >> (2 * (L - 1))));
     for (unsigned L = Lca; L >= 1; --L)
       Out.push_back(DownBase[L - 1] + (To >> (2 * (L - 1))));
-    return Out;
   }
 
-private:
+  /// "up<level>.<child>" / "dn<level>.<child>".
+  std::string linkName(unsigned Idx) const override {
+    const Link &L = Links[Idx];
+    const char *Dir = Idx < DownBase[L.A - 1] ? "up" : "dn";
+    return Dir + std::to_string(L.A) + "." + std::to_string(L.B);
+  }
+
   std::vector<unsigned> UpBase;   ///< First up-link index per level.
   std::vector<unsigned> DownBase; ///< First down-link index per level.
 };

@@ -46,8 +46,9 @@ enum class Topology { Ideal, Bus, Mesh2D, Torus2D, FatTree };
 enum class Distribution { Cyclic, Block };
 
 /// Hard ceiling on --nodes: keeps per-pair matrices and link tables at a
-/// sane size (1024 nodes = 8 MiB of pair counters) and turns typo-sized
-/// requests into a diagnostic instead of an allocation storm.
+/// sane size (1024 nodes = 8 MiB of pair counters plus 8 MiB of route-table
+/// entries on a routed topology) and turns typo-sized requests into a
+/// diagnostic instead of an allocation storm.
 inline constexpr unsigned MaxSimNodes = 1024;
 
 const char *topologyName(Topology T);
@@ -125,8 +126,9 @@ public:
   virtual std::vector<NetLinkStats> linkStats() const { return {}; }
 
   /// The directed link indices a transfer From -> To traverses, in order
-  /// (empty for the ideal network). Pure — exposed so conservation tests
-  /// can re-route the pair matrix over a fresh identical model.
+  /// (empty for the ideal network). Pure — it walks the topology afresh on
+  /// every call and never reads the route table transferDone() fills, so
+  /// tests can check that table and re-route the pair matrix against it.
   virtual std::vector<unsigned> route(unsigned /*From*/,
                                       unsigned /*To*/) const {
     return {};

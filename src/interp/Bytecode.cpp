@@ -26,6 +26,14 @@
 #include <memory>
 #include <queue>
 
+// Out-of-line cold paths: keeps diagnostic string building out of the
+// inlined hot helpers (valueOf / availOf) and their many call sites.
+#if defined(__GNUC__) || defined(__clang__)
+#define EARTHCC_COLD __attribute__((cold, noinline))
+#else
+#define EARTHCC_COLD
+#endif
+
 // Preprocessor mirror of computedGotoAvailable() (earth/Runtime.h): whether
 // this translation unit compiles the direct-threaded loop at all.
 #if !defined(EARTHCC_PORTABLE_DISPATCH) &&                                     \
@@ -46,8 +54,15 @@ namespace {
 
 /// The flat activation image: one word vector for every slot's storage plus
 /// one availability time per slot. Parallel-sequence branches share the
-/// image (shared_ptr); forall iterations copy it — exactly the sharing the
-/// AST walker gets from its per-variable map.
+/// image; forall iterations copy it — exactly the sharing the AST walker
+/// gets from its per-variable map.
+///
+/// Ownership is by frame (BcFrame::OwnsLocals), never counted: a called
+/// frame owns the image makeLocals built for it, a forall iteration owns its
+/// copy, and a parallel-sequence branch borrows its parent's image. The
+/// borrow is safe because lifetimes nest strictly: the parent executes its
+/// Join straight after ParSpawn and cannot pop before that Join has seen
+/// every branch finish. popFrame hands an owned image back to the pool.
 struct BcLocals {
   std::vector<RtValue> Words;
   std::vector<double> Avail;
@@ -55,33 +70,61 @@ struct BcLocals {
 
 struct Fiber;
 
-/// Join counter for one parallel-construct instance.
+/// Join counter for one parallel-construct instance. Owned by the frame
+/// whose ParSpawn / ForallInit opened it (BcFrame::Joins, linked innermost
+/// first through Outer); the children it counts hold a plain pointer. The
+/// frame pops it at the Join that sees Outstanding reach zero, after which
+/// no child touches it again.
 struct JoinCtx {
   int Outstanding = 0;
   Fiber *Waiter = nullptr;
   double LatestEnd = 0.0;
+  JoinCtx *Outer = nullptr; ///< Next-outer open join of the same frame.
 };
 
-/// One function activation. PC indexes BF->Code; Joins holds the join
-/// contexts of the parallel constructs currently open in this frame
-/// (properly nested, so a stack suffices).
+/// One function activation. PC indexes BF->Code; Joins is the innermost
+/// join context of the parallel constructs currently open in this frame
+/// (properly nested, so a linked stack suffices).
 struct BcFrame {
   const BytecodeFunction *BF = nullptr;
   unsigned Node = 0;
   int32_t PC = 0;
-  std::shared_ptr<BcLocals> Locals;
+  BcLocals *Locals = nullptr;
+  bool OwnsLocals = false;      ///< Locals goes back to the pool on pop.
+  bool Migrated = false;        ///< Entered via a placed call.
   const Var *ResultV = nullptr; ///< Result variable in the caller frame.
   int32_t ResultSlot = -1;      ///< Its slot there (-1: none/no storage).
   double WriteSync = 0.0;       ///< Completion of outstanding writes.
-  bool Migrated = false;        ///< Entered via a placed call.
-  std::vector<std::shared_ptr<JoinCtx>> Joins;
+  JoinCtx *Joins = nullptr;
 };
 
 struct Fiber {
   uint64_t Id = 0;
   std::vector<BcFrame> Stack;
-  std::shared_ptr<JoinCtx> ParentJoin;
+  JoinCtx *ParentJoin = nullptr; ///< The join this fiber signals on finish.
   bool Done = false;
+};
+
+/// Recycling pool with stable addresses for objects created at extreme
+/// rates (one activation image per call and per forall iteration, one join
+/// per parallel construct). The deque owns every object ever handed out;
+/// the free list holds the ones not in use, and a recycled BcLocals keeps
+/// its vectors' capacity, so a steady-state activation allocates nothing.
+/// Objects still in use when a run fails are freed with the pool.
+template <typename T> class Pool {
+public:
+  T *acquire() {
+    if (Free.empty())
+      return &Arena.emplace_back();
+    T *P = Free.back();
+    Free.pop_back();
+    return P;
+  }
+  void release(T *P) { Free.push_back(P); }
+
+private:
+  std::deque<T> Arena;
+  std::vector<T *> Free;
 };
 
 struct Event {
@@ -169,8 +212,14 @@ private:
   // Slots and values.
   //===--------------------------------------------------------------------===
 
-  [[noreturn]] void noStorage(const BcFrame &Fr, const Var *V) {
+  [[noreturn]] EARTHCC_COLD void noStorage(const BcFrame &Fr, const Var *V) {
     fail("variable '" + V->name() + "' has no storage in '" +
+         Fr.BF->Fn->name() + "'");
+  }
+
+  [[noreturn]] EARTHCC_COLD void undefinedRead(const BcFrame &Fr,
+                                               const Var *V) {
+    fail("read of undefined variable '" + V->name() + "' in '" +
          Fr.BF->Fn->name() + "'");
   }
 
@@ -191,10 +240,9 @@ private:
       return O.Const;
     if (O.Slot < 0)
       noStorage(Fr, O.V);
-    const RtValue &V = word(Fr, O.Slot);
+    const RtValue &V = Fr.Locals->Words[O.WordOff];
     if (V.isUndef())
-      fail("read of undefined variable '" + O.V->name() + "' in '" +
-           Fr.BF->Fn->name() + "'");
+      undefinedRead(Fr, O.V);
     return V;
   }
 
@@ -210,38 +258,20 @@ private:
     return Val.P;
   }
 
-  /// Hands out a pooled activation image wrapped in a shared_ptr whose
-  /// deleter parks it on the free list instead of freeing: activations are
-  /// created at extreme rates (one per call, one per forall iteration), and
-  /// recycling keeps the slot/avail vector capacity, so a steady-state
-  /// activation allocates only the control block.
-  std::shared_ptr<BcLocals> acquireLocals() {
-    BcLocals *L;
-    if (LocalsFree.empty()) {
-      LocalsArena.emplace_back();
-      L = &LocalsArena.back();
-    } else {
-      L = LocalsFree.back();
-      LocalsFree.pop_back();
-    }
-    return std::shared_ptr<BcLocals>(
-        L, [this](BcLocals *P) { LocalsFree.push_back(P); });
-  }
-
   /// Pooled copy of an activation image (forall iterations capture the
-  /// driver frame by value).
-  std::shared_ptr<BcLocals> copyLocals(const BcLocals &Src) {
-    auto L = acquireLocals();
+  /// driver frame by value). The caller's frame owns the copy.
+  BcLocals *copyLocals(const BcLocals &Src) {
+    BcLocals *L = LocalsPool.acquire();
     *L = Src;
     return L;
   }
 
   /// Builds the flat activation image of \p BF on \p Node, allocating
   /// memory cells for function-scope shared variables in slot order (the
-  /// same order the AST walker's makeLocals allocates them).
-  std::shared_ptr<BcLocals> makeLocals(const BytecodeFunction *BF,
-                                       unsigned Node) {
-    auto L = acquireLocals();
+  /// same order the AST walker's makeLocals allocates them). The caller's
+  /// frame owns the image.
+  BcLocals *makeLocals(const BytecodeFunction *BF, unsigned Node) {
+    BcLocals *L = LocalsPool.acquire();
     L->Words.assign(BF->FrameWords, RtValue());
     L->Avail.assign(BF->Slots.size(), 0.0);
     // SharedCellOffs lists the shared-variable cells in slot order — the
@@ -324,12 +354,28 @@ private:
 
   void schedule(Fiber *F, double T) { Q.push({T, ++EventSeq, F}); }
 
+  /// Opens a join in \p Fr (ParSpawn / ForallInit); the frame owns it.
+  JoinCtx *pushJoin(BcFrame &Fr) {
+    JoinCtx *J = JoinPool.acquire();
+    *J = JoinCtx();
+    J->Outer = Fr.Joins;
+    Fr.Joins = J;
+    return J;
+  }
+
+  /// Closes \p Fr's innermost join once every child has signalled it.
+  void popJoin(BcFrame &Fr) {
+    JoinCtx *J = Fr.Joins;
+    assert(J && J->Outstanding == 0 && "join popped with children running");
+    Fr.Joins = J->Outer;
+    JoinPool.release(J);
+  }
+
   Fiber *newFiber() {
     Fibers.push_back(std::make_unique<Fiber>());
     Fibers.back()->Id = Fibers.size();
-    // Growing the frame stack move-constructs every frame below (two
-    // refcount bumps per frame for the Locals image); one up-front reserve
-    // covers the call depths the workloads actually reach.
+    // One up-front reserve covers the call depths the workloads actually
+    // reach, so pushing a frame does not reallocate the stack.
     Fibers.back()->Stack.reserve(8);
     return Fibers.back().get();
   }
@@ -338,7 +384,10 @@ private:
     F->Done = true;
     if (F == MainFiber)
       EndTime = End;
-    if (auto Join = F->ParentJoin) {
+    if (JoinCtx *Join = F->ParentJoin) {
+      // The parent may recycle the join once it reaches zero; a finished
+      // fiber never signals again, so drop the pointer now.
+      F->ParentJoin = nullptr;
       --Join->Outstanding;
       Join->LatestEnd = std::max(Join->LatestEnd, End);
       if (Trc)
@@ -873,6 +922,7 @@ private:
     NewFr.BF = I.Callee;
     NewFr.Node = Target;
     NewFr.Locals = makeLocals(I.Callee, Target);
+    NewFr.OwnsLocals = true;
     NewFr.ResultV = castStmt<CallStmt>(*I.Src).Result;
     NewFr.ResultSlot = I.Dst;
     NewFr.Migrated = Migrates;
@@ -883,7 +933,7 @@ private:
       NewFr.Locals->Words[I.Callee->ParamWordOffs[J]] = valueOf(Fr, Args[J]);
 
     if (!Migrates) {
-      F->Stack.push_back(std::move(NewFr));
+      F->Stack.push_back(NewFr);
       return StepStatus::Continue;
     }
     ++Ctr.Spawns;
@@ -894,7 +944,7 @@ private:
     // Capture the origin before push_back: growing the frame stack may
     // reallocate it and dangle Fr.
     const unsigned FromNode = Fr.Node;
-    F->Stack.push_back(std::move(NewFr));
+    F->Stack.push_back(NewFr);
     // Travel to the remote node (ideal: one NetDelay).
     BlockTime = Net->transferDone(FromNode, Target, 0, Now);
     return StepStatus::YieldAt;
@@ -903,8 +953,13 @@ private:
   /// Pops the top frame, delivering \p Result (may be null) to the caller.
   StepStatus popFrame(Fiber *F, double &Now, const RtValue *Result,
                       double &BlockTime) {
-    BcFrame Done = std::move(F->Stack.back());
+    BcFrame Done = F->Stack.back();
     F->Stack.pop_back();
+    assert(!Done.Joins && "frame popped with a parallel construct open");
+    // No reader of the image is left (a returned value was copied out, and
+    // any branches borrowing it finished before the frame's Join).
+    if (Done.OwnsLocals)
+      LocalsPool.release(Done.Locals);
     Now += cost().ReturnCost;
 
     if (F->Stack.empty()) {
@@ -990,12 +1045,8 @@ private:
   OpCounters Ctr;
   std::vector<double> EUClock;
   std::vector<Fiber *> LastFiber;
-  /// BcLocals recycling pool (see acquireLocals). The deque owns every
-  /// image ever handed out (stable addresses); the free list holds the
-  /// currently unreferenced ones. Declared ahead of Q/Fibers so the pool
-  /// outlives every frame whose release can still park into it.
-  std::deque<BcLocals> LocalsArena;
-  std::vector<BcLocals *> LocalsFree;
+  Pool<BcLocals> LocalsPool;
+  Pool<JoinCtx> JoinPool;
   std::priority_queue<Event, std::vector<Event>, std::greater<Event>> Q;
   uint64_t EventSeq = 0;
   std::deque<std::unique_ptr<Fiber>> Fibers;
@@ -1054,10 +1105,11 @@ RunResult BcInterp::run(const std::string &Entry,
     Fr.BF = EntryBF;
     Fr.Node = 0;
     Fr.Locals = makeLocals(EntryBF, 0);
+    Fr.OwnsLocals = true;
     for (size_t I = 0; I != Args.size(); ++I)
       Fr.Locals->Words[EntryBF->Slots[EntryBF->ParamSlots[I]].WordOff] =
           Args[I];
-    MainFiber->Stack.push_back(std::move(Fr));
+    MainFiber->Stack.push_back(Fr);
     schedule(MainFiber, 0.0);
 
     while (!Q.empty()) {

@@ -140,6 +140,9 @@ enum class BcCtor : uint8_t {
 struct BcOperand {
   enum class K : uint8_t { None, Slot, Const } Kind = K::None;
   int32_t Slot = -1;      ///< Frame slot index when Kind == Slot.
+  /// The slot's first word within the frame image (Slots[Slot].WordOff),
+  /// resolved at lowering so a value read is one indexed load.
+  uint32_t WordOff = 0;
   RtValue Const;          ///< Pre-built value when Kind == Const.
   const Var *V = nullptr; ///< Source variable, for diagnostics only.
 };
@@ -161,11 +164,12 @@ struct BcInsn {
   uint32_t Off = 0;  ///< Word offset of a field access.
   uint32_t Words = 0; ///< BlkMov word count / pool element count.
   int32_t Dst = -1;  ///< Destination slot (-1 when none).
-  BcOperand X, Y;    ///< Value operands (cond/assign/atomic/return/placement).
   /// CommSites id of the originating statement (-1 for non-comm opcodes).
   /// Stamped from the table buildCommSiteTable builds over the module being
   /// lowered, so profiles keyed by it match the AST walker's row for row.
+  /// (Declared ahead of the operands, where it fills alignment padding.)
   int32_t Site = -1;
+  BcOperand X, Y;    ///< Value operands (cond/assign/atomic/return/placement).
   const BytecodeFunction *Callee = nullptr; ///< Resolved callee of a Call.
   const Stmt *Src = nullptr; ///< Originating statement (diagnostics only).
 };

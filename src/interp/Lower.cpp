@@ -132,6 +132,8 @@ private:
     if (O.isVar()) {
       B.Kind = BcOperand::K::Slot;
       B.Slot = slotOf(O.getVar());
+      if (B.Slot >= 0)
+        B.WordOff = BF.Slots[B.Slot].WordOff;
       B.V = O.getVar();
       return B;
     }

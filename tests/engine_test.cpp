@@ -30,19 +30,20 @@ struct EngineRun {
   std::string Profile;
 };
 
-/// Runs \p M under \p Engine with a fresh trace sink and profiler attached.
-/// \p Dispatch selects the bytecode engine's inner loop (ignored by the AST
-/// engine; on a build without computed goto, ComputedGoto degrades to the
-/// switch loop).
+/// Runs \p Entry of \p M under \p Engine with a fresh trace sink and
+/// profiler attached. \p Dispatch selects the bytecode engine's inner loop
+/// (ignored by the AST engine; on a build without computed goto,
+/// ComputedGoto degrades to the switch loop).
 EngineRun runWith(Pipeline &P, const Module &M, MachineConfig MC,
-                  ExecEngine Engine, BcDispatch Dispatch = defaultDispatch()) {
+                  ExecEngine Engine, BcDispatch Dispatch = defaultDispatch(),
+                  const std::string &Entry = "main") {
   ChromeTraceSink Sink;
   CommProfiler Prof;
   MC.Engine = Engine;
   MC.Dispatch = Dispatch;
   MC.Trace = &Sink;
   MC.Profiler = &Prof;
-  RunResult R = P.run(M, MC);
+  RunResult R = P.run(M, MC, Entry);
   return {std::move(R), Sink.json(), Prof.json()};
 }
 
@@ -260,6 +261,116 @@ TEST(EngineErrorTest, IdenticalDiagnostics) {
   }
 }
 
+
+// Activation-image lifetimes in the bytecode engine: a called frame and a
+// forall iteration own their image, parallel-sequence branches borrow their
+// parent's, and join contexts belong to the frame that opened them. This
+// program nests every combination — branches that call functions which
+// return early, a forall (with a parallel sequence in its body and a
+// function-scope shared variable) inside a callee, recursion through a
+// parallel sequence with placed calls — and must run identically under the
+// AST walker and both dispatch loops. A second entry fails inside a branch
+// while images and joins are still in use; the sanitizer build's leak check
+// covers that path too.
+TEST(ActivationLifetimeTest, NestedParallelCallsMatchAcrossEngines) {
+  const char *Src = R"(
+    struct node { int v; node *l; node *r; };
+
+    node *build(int depth, int id) {
+      node *t;
+      if (depth == 0) return NULL;
+      t = pmalloc(sizeof(node))@node(id);
+      t->v = id;
+      t->l = build(depth - 1, id * 2 + 1);
+      t->r = build(depth - 1, id * 2 + 2);
+      return t;
+    }
+
+    int find(int n, int k) {
+      int i;
+      for (i = 0; i < n; i = i + 1) {
+        if (i * i >= k) return i;
+      }
+      return 0 - 1;
+    }
+
+    int fan(int n) {
+      shared int acc;
+      int i; int p; int q; int r;
+      writeto(&acc, 0);
+      forall (i = 0; i < n; i = i + 1) {
+        {^
+          p = find(40, i * 7);
+          q = find(20, i);
+        ^}
+        addto(&acc, p + q);
+      }
+      r = valueof(&acc);
+      return r;
+    }
+
+    int walk(node *t, int depth) {
+      int a; int b; int c; node *l; node *r;
+      if (t == NULL) return 0;
+      if (depth == 0) return find(30, t->v);
+      l = t->l;
+      r = t->r;
+      {^
+        a = walk(l, depth - 1);
+        b = walk(r, depth - 1)@node(depth);
+        c = fan(depth + 2);
+      ^}
+      return a + b + c + t->v;
+    }
+
+    int main() {
+      node *root; int x; int y;
+      root = build(4, 0);
+      {^
+        x = walk(root, 3);
+        y = fan(5);
+      ^}
+      return x + y;
+    }
+
+    int boom() {
+      int a; int b; node *n;
+      n = NULL;
+      {^
+        a = fan(3);
+        b = walk(n, 2) + n->v;
+      ^}
+      return a + b;
+    }
+  )";
+  for (RunMode Mode : {RunMode::Simple, RunMode::Optimized}) {
+    Pipeline P(workloadOptions(Mode));
+    CompileResult CR = P.compile(Src);
+    ASSERT_TRUE(CR.OK) << CR.Messages;
+    for (Topology Topo : {Topology::Ideal, Topology::Torus2D}) {
+      for (unsigned Nodes : {1u, 4u, 16u}) {
+        MachineConfig MC = workloadMachine(Mode, Nodes);
+        MC.Topo = Topo;
+        for (const char *Entry : {"main", "boom"}) {
+          std::string What = std::string(Entry) +
+                             (Mode == RunMode::Simple ? "/simple/" : "/opt/") +
+                             topologyName(Topo) + "/" + std::to_string(Nodes) +
+                             "n";
+          auto Ast = runWith(P, *CR.M, MC, ExecEngine::AST, defaultDispatch(),
+                             Entry);
+          EXPECT_EQ(Ast.R.OK, std::string(Entry) == "main")
+              << What << ": " << Ast.R.Error;
+          auto Bc = runWith(P, *CR.M, MC, ExecEngine::Bytecode,
+                            BcDispatch::ComputedGoto, Entry);
+          auto BcSw = runWith(P, *CR.M, MC, ExecEngine::Bytecode,
+                              BcDispatch::Switch, Entry);
+          expectIdentical(Ast, Bc, What);
+          expectIdentical(Ast, BcSw, What + "/dispatch=switch");
+        }
+      }
+    }
+  }
+}
 
 //===----------------------------------------------------------------------===//
 // Switch dispatch: lowering-mode selection and edge semantics. The observable

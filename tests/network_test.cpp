@@ -7,7 +7,15 @@
 // the historical constant-latency arithmetic, and — for every routed
 // topology — traffic conservation: the words each link carried must equal
 // the pair matrix of injected transfers pushed through route(), and the
-// profiler's network view must agree with its per-site totals.
+// profiler's network view must agree with its per-site totals. The routed
+// models' route table and link queues are checked against independent
+// oracles (a fresh model's pure route walk; a deque FIFO), and the link
+// statistics of real workloads are pinned by a golden file, because both
+// engines share NetworkModel and the engine-equivalence sweep cannot see a
+// change in it.
+//
+// Regenerate the golden after an intentional network-model change with:
+//   EARTHCC_REGEN_GOLDEN=1 ./build/tests/network_test
 //
 //===----------------------------------------------------------------------===//
 
@@ -17,13 +25,24 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <deque>
+#include <fstream>
 #include <numeric>
+#include <sstream>
 
 using namespace earthcc;
+
+#ifndef EARTHCC_GOLDEN_DIR
+#error "EARTHCC_GOLDEN_DIR must point at tests/golden"
+#endif
 
 namespace {
 
 CostModel testCosts() { return CostModel(); }
+
+const Topology RoutedTopologies[] = {Topology::Bus, Topology::Mesh2D,
+                                     Topology::Torus2D, Topology::FatTree};
 
 } // namespace
 
@@ -139,10 +158,12 @@ TEST(RoutedNetworkTest, FatTreeRoutesClimbToLca) {
 // word totals must equal the injected pair matrix pushed through route().
 TEST(RoutedNetworkTest, TrafficConservation) {
   CostModel C = testCosts();
-  for (Topology Topo : {Topology::Bus, Topology::Mesh2D, Topology::Torus2D,
-                        Topology::FatTree}) {
-    for (unsigned N : {2u, 4u, 7u, 16u}) {
+  for (Topology Topo : RoutedTopologies) {
+    for (unsigned N : {2u, 4u, 7u, 12u, 16u, 17u, 64u}) {
       auto Net = createNetworkModel(Topo, N, C, 450.0, 160.0);
+      // Routes come from a fresh identical model, so the check stays
+      // independent of the route table the loaded model fills.
+      auto Fresh = createNetworkModel(Topo, N, C, 450.0, 160.0);
       std::vector<uint64_t> ExpectWords(size_t(N) * N, 0);
       std::vector<uint64_t> ExpectMsgs(size_t(N) * N, 0);
       // Deterministic pseudo-random transfer pattern (LCG).
@@ -175,7 +196,7 @@ TEST(RoutedNetworkTest, TrafficConservation) {
       std::vector<uint64_t> LinkMsgs(Links.size(), 0);
       for (unsigned From = 0; From != N; ++From)
         for (unsigned To = 0; To != N; ++To)
-          for (unsigned L : Net->route(From, To)) {
+          for (unsigned L : Fresh->route(From, To)) {
             ASSERT_LT(L, Links.size()) << What;
             LinkWords[L] += ExpectWords[size_t(From) * N + To];
             LinkMsgs[L] += ExpectMsgs[size_t(From) * N + To];
@@ -188,6 +209,219 @@ TEST(RoutedNetworkTest, TrafficConservation) {
       }
     }
   }
+}
+
+// The route table transferDone() follows must agree with the pure route()
+// walk for every ordered pair, on every routed topology, including machine
+// sizes that leave a partial grid row or an unfilled fat-tree switch. One
+// transfer per pair on an idle network moves exactly one message over each
+// link of its route; the expected links come from a fresh model. Two passes
+// in different orders: the first fills the table, the second reads entries
+// filled while other pairs were being added.
+TEST(RoutedNetworkTest, RouteTableMatchesPureRoute) {
+  CostModel C = testCosts();
+  for (Topology Topo : RoutedTopologies) {
+    for (unsigned N : {1u, 2u, 3u, 5u, 7u, 12u, 16u, 17u, 64u}) {
+      std::string What = std::string(topologyName(Topo)) + "/" +
+                         std::to_string(N) + "n";
+      auto Net = createNetworkModel(Topo, N, C, 450.0, 160.0);
+      auto Fresh = createNetworkModel(Topo, N, C, 450.0, 160.0);
+      std::vector<uint64_t> Before(Net->linkStats().size(), 0);
+      double T = 0.0;
+      for (int Pass = 0; Pass != 2; ++Pass) {
+        for (unsigned K = 0; K != N * N; ++K) {
+          // Pass 0 walks pairs in row order, pass 1 in reverse.
+          unsigned Idx = Pass == 0 ? K : N * N - 1 - K;
+          unsigned From = Idx / N, To = Idx % N;
+          std::vector<unsigned> Expect = Fresh->route(From, To);
+          T += 1e9; // far apart: every link is idle again
+          double Done = Net->transferDone(From, To, 3, T);
+          EXPECT_EQ(Done == T, Expect.empty())
+              << What << " " << From << "->" << To;
+          std::vector<NetLinkStats> After = Net->linkStats();
+          std::vector<uint64_t> Delta(After.size(), 0);
+          for (size_t L = 0; L != After.size(); ++L)
+            Delta[L] = After[L].Msgs - Before[L];
+          std::vector<uint64_t> Want(After.size(), 0);
+          for (unsigned L : Expect) {
+            ASSERT_LT(L, Want.size()) << What;
+            ++Want[L];
+          }
+          ASSERT_EQ(Delta, Want) << What << " " << From << "->" << To
+                                 << " pass " << Pass;
+          for (size_t L = 0; L != After.size(); ++L)
+            Before[L] = After[L].Msgs;
+        }
+      }
+    }
+  }
+}
+
+namespace {
+
+/// The link-queue model as it stood before the queues became flat arrays:
+/// each link a std::deque of not-yet-drained departures. Links are uniform
+/// (one HopNs / WordNs), which covers the bus and the 2-D grids; routes come
+/// from a separate model's pure route().
+class DequeOracle {
+public:
+  DequeOracle(const NetworkModel &Routes, size_t NumLinks, double HopNs,
+              double WordNs)
+      : Routes(Routes), HopNs(HopNs), WordNs(WordNs), Links(NumLinks) {}
+
+  double transferDone(unsigned From, unsigned To, uint64_t Words,
+                      double IssueTime) {
+    if (From == To)
+      return IssueTime;
+    double T = IssueTime;
+    for (unsigned Idx : Routes.route(From, To)) {
+      Link &L = Links[Idx];
+      while (!L.Busy.empty() && L.Busy.front() <= T)
+        L.Busy.pop_front();
+      double Depart = std::max(T, L.FreeAt);
+      double Hold = HopNs + WordNs * static_cast<double>(Words);
+      L.FreeAt = Depart + Hold;
+      L.Busy.push_back(L.FreeAt);
+      L.MaxDepth = std::max(L.MaxDepth, static_cast<unsigned>(L.Busy.size()));
+      ++L.Msgs;
+      L.Words += Words;
+      L.BusyNs += Hold;
+      T = Depart + Hold;
+    }
+    return T;
+  }
+
+  struct Link {
+    double FreeAt = 0.0;
+    uint64_t Msgs = 0;
+    uint64_t Words = 0;
+    double BusyNs = 0.0;
+    unsigned MaxDepth = 0;
+    std::deque<double> Busy;
+  };
+
+  const NetworkModel &Routes;
+  double HopNs, WordNs;
+  std::vector<Link> Links;
+};
+
+} // namespace
+
+// The flat link queues (sorted vector + head index, compacted as they
+// drain) must reproduce the deque FIFO exactly: every completion time and
+// every final link statistic. Each 400-transfer cycle is a burst issued at
+// one instant (queues pass depth 64), then sustained overload — issues
+// spaced under the mean hold time, so a queue drains from the front while
+// it keeps growing and never empties — then idle gaps that empty every
+// queue. Four in five transfers of the first two phases take one hot pair,
+// so a torus link sees the same pressure as the bus.
+TEST(RoutedNetworkTest, LinkQueueMatchesDequeOracle) {
+  CostModel C = testCosts();
+  const double HopNs = 450.0, WordNs = 160.0;
+  for (auto [Topo, N] : {std::pair{Topology::Bus, 16u},
+                         std::pair{Topology::Torus2D, 16u}}) {
+    std::string What = std::string(topologyName(Topo)) + "/" +
+                       std::to_string(N) + "n";
+    auto Net = createNetworkModel(Topo, N, C, HopNs, WordNs);
+    auto Fresh = createNetworkModel(Topo, N, C, HopNs, WordNs);
+    const double LinkHopNs = Topo == Topology::Bus ? C.NetDelay : HopNs;
+    DequeOracle Oracle(*Fresh, Net->linkStats().size(), LinkHopNs, WordNs);
+    const double MeanHold = LinkHopNs + 4 * WordNs; // words are 0..8
+    uint64_t Seed = 987654321;
+    double T = 0.0;
+    for (int I = 0; I != 2000; ++I) {
+      Seed = Seed * 6364136223846793005ull + 1442695040888963407ull;
+      unsigned From = (Seed >> 33) % N;
+      unsigned To = (Seed >> 13) % N;
+      uint64_t Words = (Seed >> 50) % 9;
+      const int Phase = I % 400;
+      if (Phase < 350 && Phase % 5 != 0) {
+        From = 0;
+        To = 5;
+      }
+      if (Phase >= 350)
+        T += 1e6; // idle gap
+      else if (Phase >= 100)
+        T += 0.7 * MeanHold; // overload
+      // else: burst, all at one instant
+      double Got = Net->transferDone(From, To, Words, T);
+      double Want = Oracle.transferDone(From, To, Words, T);
+      ASSERT_EQ(Got, Want) << What << " transfer " << I;
+    }
+    std::vector<NetLinkStats> Links = Net->linkStats();
+    ASSERT_EQ(Links.size(), Oracle.Links.size()) << What;
+    unsigned Deepest = 0;
+    for (size_t L = 0; L != Links.size(); ++L) {
+      const DequeOracle::Link &O = Oracle.Links[L];
+      EXPECT_EQ(Links[L].Msgs, O.Msgs) << What << " " << Links[L].Name;
+      EXPECT_EQ(Links[L].Words, O.Words) << What << " " << Links[L].Name;
+      EXPECT_EQ(Links[L].BusyNs, O.BusyNs) << What << " " << Links[L].Name;
+      EXPECT_EQ(Links[L].MaxQueueDepth, O.MaxDepth)
+          << What << " " << Links[L].Name;
+      Deepest = std::max(Deepest, Links[L].MaxQueueDepth);
+    }
+    EXPECT_GT(Deepest, 64u) << What << ": the bursts never queued deeply";
+  }
+}
+
+namespace {
+
+std::string networkGoldenPath() {
+  return std::string(EARTHCC_GOLDEN_DIR) + "/network_links.txt";
+}
+
+std::string readFile(const std::string &Path) {
+  std::ifstream In(Path);
+  if (!In)
+    return {};
+  std::ostringstream Buf;
+  Buf << In.rdbuf();
+  return Buf.str();
+}
+
+} // namespace
+
+// Link statistics of real workloads on contended topologies, pinned: one
+// line per (workload, topology, nodes) holding the profiler's network block
+// (the one --profile=json prints, here at full double precision and with
+// the pair matrix). Any change to routing, queueing or link naming shows up
+// as a diff of this file.
+TEST(NetworkGoldenTest, LinkStatsMatchGolden) {
+  std::string Got;
+  for (const char *Name : {"power", "health"}) {
+    const Workload *W = findWorkload(Name);
+    ASSERT_NE(W, nullptr) << Name;
+    Pipeline P(workloadOptions(RunMode::Optimized));
+    CompileResult CR = P.compile(W->Source);
+    ASSERT_TRUE(CR.OK) << CR.Messages;
+    for (Topology Topo : {Topology::Torus2D, Topology::FatTree}) {
+      MachineConfig MC = workloadMachine(RunMode::Optimized, 16);
+      MC.Topo = Topo;
+      CommProfiler Prof;
+      MC.Profiler = &Prof;
+      RunResult R = P.run(*CR.M, MC);
+      ASSERT_TRUE(R.OK) << Name << ": " << R.Error;
+      std::string Json = Prof.json();
+      size_t At = Json.find("\"network\": ");
+      ASSERT_NE(At, std::string::npos) << Name << " " << topologyName(Topo);
+      // The block runs to the end of the document, less its closing brace.
+      Got += std::string(Name) + " " + topologyName(Topo) + " 16 " +
+             Json.substr(At, Json.size() - 1 - At) + "\n";
+    }
+  }
+  if (std::getenv("EARTHCC_REGEN_GOLDEN")) {
+    std::ofstream Out(networkGoldenPath());
+    ASSERT_TRUE(Out) << "cannot write " << networkGoldenPath();
+    Out << Got;
+    GTEST_SKIP() << "regenerated " << networkGoldenPath();
+  }
+  std::string Golden = readFile(networkGoldenPath());
+  ASSERT_FALSE(Golden.empty())
+      << "missing golden file " << networkGoldenPath()
+      << " (regenerate with EARTHCC_REGEN_GOLDEN=1)";
+  EXPECT_EQ(Got, Golden)
+      << "network link statistics diverged from golden; if the network "
+         "model changed intentionally, regenerate with EARTHCC_REGEN_GOLDEN=1";
 }
 
 // End-to-end conservation through a real workload: the profiler's network
