@@ -13,6 +13,7 @@
 #include "support/Trace.h"
 
 #include <algorithm>
+#include <cstdio>
 #include <map>
 #include <sstream>
 
@@ -42,6 +43,14 @@ indexRemarks(const RemarkStream *Remarks) {
       Cats.push_back(std::move(Tag));
   }
   return Index;
+}
+
+/// \p V at full double precision, as CommProfiler::json() prints it (a
+/// stream's default precision keeps only 6 significant digits).
+std::string exactNum(double V) {
+  char Buf[32];
+  std::snprintf(Buf, sizeof(Buf), "%.17g", V);
+  return Buf;
 }
 
 std::string joinCategories(const std::vector<std::string> &Cats) {
@@ -176,13 +185,14 @@ std::string earthcc::profileReportJson(const Module &M,
   if (!Prof.netLinks().empty()) {
     const double EndNs = Prof.netEndTimeNs();
     OS << ", \"network\": {\"topology\": \"" << jsonEscape(Prof.netTopology())
-       << "\", \"end_ns\": " << EndNs << ", \"links\": [";
+       << "\", \"end_ns\": " << exactNum(EndNs) << ", \"links\": [";
     bool FirstLink = true;
     for (const NetLinkStats &L : Prof.netLinks()) {
       OS << (FirstLink ? "" : ", ") << "{\"name\": \"" << jsonEscape(L.Name)
          << "\", \"msgs\": " << L.Msgs << ", \"words\": " << L.Words
-         << ", \"busy_ns\": " << L.BusyNs << ", \"utilization\": "
-         << (EndNs > 0.0 ? L.BusyNs / EndNs : 0.0)
+         << ", \"busy_ns\": " << exactNum(L.BusyNs)
+         << ", \"utilization\": "
+         << exactNum(EndNs > 0.0 ? L.BusyNs / EndNs : 0.0)
          << ", \"max_queue_depth\": " << L.MaxQueueDepth << "}";
       FirstLink = false;
     }

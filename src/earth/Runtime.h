@@ -24,6 +24,7 @@
 #include <cstdlib>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 namespace earthcc {
@@ -47,12 +48,22 @@ struct GlobalAddr {
   }
 };
 
-/// A dynamically-typed runtime value (one machine word).
+/// A dynamically-typed runtime value (one machine word): a kind tag plus
+/// one payload, 16 bytes in all so that frame images, heap words and
+/// operands move in two registers. Only the member named by K is active;
+/// code that does not already know the kind reads the payload through
+/// asInt / asPtr, which give 0 or null for any other kind (the simulated
+/// semantics of a mismatched-kind read).
 struct RtValue {
-  enum class Kind { Undef, Int, Dbl, Ptr } K = Kind::Undef;
-  int64_t I = 0;
-  double D = 0.0;
-  GlobalAddr P;
+  enum class Kind : uint8_t { Undef, Int, Dbl, Ptr } K = Kind::Undef;
+  union {
+    int64_t I;
+    double D;
+    GlobalAddr P;
+  };
+
+  /// Undef, with the integer payload 0 active.
+  RtValue() : I(0) {}
 
   static RtValue undef() { return RtValue(); }
   static RtValue makeInt(int64_t V) {
@@ -73,6 +84,9 @@ struct RtValue {
     R.P = A;
     return R;
   }
+
+  int64_t asInt() const { return K == Kind::Int ? I : 0; }
+  GlobalAddr asPtr() const { return K == Kind::Ptr ? P : GlobalAddr(); }
 
   bool isUndef() const { return K == Kind::Undef; }
 
@@ -107,6 +121,9 @@ struct RtValue {
     return "<bad>";
   }
 };
+static_assert(sizeof(RtValue) == 16, "RtValue must stay one tagged word");
+static_assert(std::is_trivially_copyable_v<RtValue>,
+              "RtValue is copied as raw words");
 
 /// Dynamic counts of EARTH runtime operations, as the paper's Figure 10
 /// reports them: read-data, write-data and blkmov operations.

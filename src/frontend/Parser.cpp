@@ -204,6 +204,15 @@ StructDecl Parser::parseStructDecl() {
   StructNames.insert(SD.Name);
   expect(TokKind::LBrace, "after struct name");
   while (!check(TokKind::RBrace) && !check(TokKind::Eof)) {
+    // A field starts with a type (an identifier names a struct type), and
+    // parsing one consumes at least that token. Anything else, such as a
+    // stray '{', is reported and skipped, so the loop always makes progress.
+    if (!startsTypeSpec() && !check(TokKind::Identifier)) {
+      error(cur().Loc, "unexpected token in struct '" + SD.Name +
+                           "': " + std::string(tokKindName(cur().Kind)));
+      consume();
+      continue;
+    }
     FieldDecl FD;
     FD.Loc = cur().Loc;
     FD.Type = parseTypeSpec();

@@ -26,14 +26,6 @@
 #include <memory>
 #include <queue>
 
-// Out-of-line cold paths: keeps diagnostic string building out of the
-// inlined hot helpers (valueOf / availOf) and their many call sites.
-#if defined(__GNUC__) || defined(__clang__)
-#define EARTHCC_COLD __attribute__((cold, noinline))
-#else
-#define EARTHCC_COLD
-#endif
-
 // Preprocessor mirror of computedGotoAvailable() (earth/Runtime.h): whether
 // this translation unit compiles the direct-threaded loop at all.
 #if !defined(EARTHCC_PORTABLE_DISPATCH) &&                                     \
@@ -107,10 +99,11 @@ struct Fiber {
 
 /// Recycling pool with stable addresses for objects created at extreme
 /// rates (one activation image per call and per forall iteration, one join
-/// per parallel construct). The deque owns every object ever handed out;
-/// the free list holds the ones not in use, and a recycled BcLocals keeps
-/// its vectors' capacity, so a steady-state activation allocates nothing.
-/// Objects still in use when a run fails are freed with the pool.
+/// per parallel construct, one fiber per spawn). The deque owns every
+/// object ever handed out; the free list holds the ones not in use, and a
+/// recycled BcLocals or Fiber keeps its vectors' capacity, so a
+/// steady-state activation or spawn allocates nothing. Objects still in use
+/// when a run fails are freed with the pool.
 template <typename T> class Pool {
 public:
   T *acquire() {
@@ -155,7 +148,7 @@ public:
         Mem(std::max(1u, Cfg.NumNodes)),
         Net(createNetworkModel(Cfg.Topo, Mem.numNodes(), Cfg.Costs,
                                Cfg.NetHopNs, Cfg.NetLinkWordNs)),
-        EUClock(Mem.numNodes(), 0.0), LastFiber(Mem.numNodes(), nullptr) {}
+        EUClock(Mem.numNodes(), 0.0), LastFiber(Mem.numNodes(), 0) {}
 
   RunResult run(const std::string &Entry, const std::vector<RtValue> &Args);
 
@@ -286,7 +279,7 @@ private:
     if (I.A >= 0) {
       const RtValue &Cell = word(Fr, I.A);
       assert(Cell.K == RtValue::Kind::Ptr && "shared var has no cell");
-      return Cell.P;
+      return Cell.asPtr();
     }
     if (I.B >= 0)
       return GlobalSharedAddrs[I.B];
@@ -371,13 +364,19 @@ private:
     JoinPool.release(J);
   }
 
+  /// A fiber from the pool (a finished one is recycled at the end of its
+  /// last slice). Ids count every fiber the run has created, so trace
+  /// payloads do not depend on recycling.
   Fiber *newFiber() {
-    Fibers.push_back(std::make_unique<Fiber>());
-    Fibers.back()->Id = Fibers.size();
+    Fiber *F = FiberPool.acquire();
+    assert(F->Stack.empty() && !F->ParentJoin && "fiber recycled while live");
+    F->Id = ++FibersCreated;
+    F->Done = false;
     // One up-front reserve covers the call depths the workloads actually
-    // reach, so pushing a frame does not reallocate the stack.
-    Fibers.back()->Stack.reserve(8);
-    return Fibers.back().get();
+    // reach, so pushing a frame does not reallocate the stack (a recycled
+    // fiber keeps its capacity).
+    F->Stack.reserve(8);
+    return F;
   }
 
   void finishFiber(Fiber *F, double End, unsigned Node) {
@@ -429,8 +428,9 @@ private:
   // line for line; PC handling lives in step().
   //===--------------------------------------------------------------------===
 
-  StepStatus execAssign(BcFrame &Fr, const BcInsn &I, double &Now,
-                        double &BlockTime) {
+  /// Inlined into both dispatch loops: assignments are most of all steps.
+  EARTHCC_ALWAYS_INLINE StepStatus execAssign(BcFrame &Fr, const BcInsn &I,
+                                              double &Now, double &BlockTime) {
     const auto RK = static_cast<RValueKind>(I.RK);
     const auto LK = static_cast<LValueKind>(I.LK);
     double Need = 0.0;
@@ -830,7 +830,7 @@ private:
       case CallPlacement::Home:
         return 0;
       case CallPlacement::AtNode: {
-        int64_t N = valueOf(Fr, I.Y).I;
+        int64_t N = valueOf(Fr, I.Y).asInt();
         if (N < 0)
           fail("@node with negative index");
         // Logical index -> node through the pluggable distribution
@@ -875,12 +875,12 @@ private:
       return StepStatus::Continue;
     }
     case Intrinsic::IntSqrt: {
-      RtValue V = valueOf(Fr, Args[0]);
-      if (V.I < 0)
+      const int64_t V = valueOf(Fr, Args[0]).asInt();
+      if (V < 0)
         fail("isqrt of negative value");
       int32_t D = dstSlot();
       word(Fr, D) = RtValue::makeInt(
-          static_cast<int64_t>(std::sqrt(static_cast<double>(V.I))));
+          static_cast<int64_t>(std::sqrt(static_cast<double>(V))));
       Now += cost().StmtCost * 4;
       Fr.Locals->Avail[D] = Now;
       return StepStatus::Continue;
@@ -889,7 +889,8 @@ private:
     case Intrinsic::Fabs: {
       const bool IsSqrt = static_cast<Intrinsic>(I.Sub) == Intrinsic::Sqrt;
       RtValue V = valueOf(Fr, Args[0]);
-      double X = V.K == RtValue::Kind::Dbl ? V.D : static_cast<double>(V.I);
+      double X =
+          V.K == RtValue::Kind::Dbl ? V.D : static_cast<double>(V.asInt());
       if (IsSqrt && X < 0)
         fail("sqrt of negative value");
       int32_t D = dstSlot();
@@ -899,11 +900,11 @@ private:
       return StepStatus::Continue;
     }
     case Intrinsic::PMalloc: {
-      RtValue WordsV = valueOf(Fr, Args[0]);
-      if (WordsV.I <= 0)
+      const int64_t Words = valueOf(Fr, Args[0]).asInt();
+      if (Words <= 0)
         fail("pmalloc of non-positive size");
       unsigned Node = targetNode();
-      GlobalAddr Addr = Mem.allocate(Node, static_cast<unsigned>(WordsV.I));
+      GlobalAddr Addr = Mem.allocate(Node, static_cast<unsigned>(Words));
       int32_t D = dstSlot();
       word(Fr, D) = RtValue::makePtr(Addr);
       Now += cost().StmtCost * 2;
@@ -1044,14 +1045,19 @@ private:
   std::unique_ptr<NetworkModel> Net;
   OpCounters Ctr;
   std::vector<double> EUClock;
-  std::vector<Fiber *> LastFiber;
+  /// Id of the fiber that ran last on each node (0: none), for context
+  /// switch charging. Ids, not pointers: a recycled fiber reuses an address.
+  std::vector<uint64_t> LastFiber;
   Pool<BcLocals> LocalsPool;
   Pool<JoinCtx> JoinPool;
+  Pool<Fiber> FiberPool;
+  uint64_t FibersCreated = 0;
   std::priority_queue<Event, std::vector<Event>, std::greater<Event>> Q;
   uint64_t EventSeq = 0;
-  std::deque<std::unique_ptr<Fiber>> Fibers;
   std::vector<GlobalAddr> GlobalSharedAddrs; ///< By SharedGlobalIndex.
   std::vector<std::string> Output;
+  /// Steps billed by finished slices; the fiber loop counts the running
+  /// slice in a local and adds it here when the slice ends.
   uint64_t Steps = 0;
 
   Fiber *MainFiber = nullptr;

@@ -22,6 +22,17 @@
 #include <limits>
 #include <string>
 
+// Hot/cold placement hints for the engines' step paths: cold keeps
+// diagnostic string building out of line, always-inline folds the per-step
+// helpers into the dispatch loop.
+#if defined(__GNUC__) || defined(__clang__)
+#define EARTHCC_COLD __attribute__((cold, noinline))
+#define EARTHCC_ALWAYS_INLINE __attribute__((always_inline)) inline
+#else
+#define EARTHCC_COLD
+#define EARTHCC_ALWAYS_INLINE inline
+#endif
+
 namespace earthcc {
 namespace interp {
 
@@ -34,6 +45,12 @@ struct RuntimeFailure {
 
 [[noreturn]] inline void fail(std::string Message) {
   throw RuntimeFailure{std::move(Message)};
+}
+
+/// Literal-message overload: the string is built out of line, so inlined
+/// callers carry only the call.
+[[noreturn]] EARTHCC_COLD inline void fail(const char *Message) {
+  throw RuntimeFailure{Message};
 }
 
 inline bool isNullish(const RtValue &V) {
@@ -73,7 +90,10 @@ inline int64_t doubleToIntSat(double D) {
                : std::numeric_limits<int64_t>::max();
 }
 
-inline RtValue evalBinary(BinaryOp Op, const RtValue &A, const RtValue &B) {
+/// Mixed int/double operands promote the int. An operand that is neither
+/// double nor pointer is Int or Undef, and an Undef one reads as integer 0.
+EARTHCC_ALWAYS_INLINE RtValue evalBinary(BinaryOp Op, const RtValue &A,
+                                         const RtValue &B) {
   if (A.K == RtValue::Kind::Ptr || B.K == RtValue::Kind::Ptr) {
     bool Eq;
     if (A.K == RtValue::Kind::Ptr && B.K == RtValue::Kind::Ptr)
@@ -147,11 +167,11 @@ inline RtValue evalUnary(UnaryOp Op, const RtValue &A) {
   switch (Op) {
   case UnaryOp::Neg:
     return A.K == RtValue::Kind::Dbl ? RtValue::makeDbl(-A.D)
-                                     : RtValue::makeInt(wrapSub(0, A.I));
+                                     : RtValue::makeInt(wrapSub(0, A.asInt()));
   case UnaryOp::Not:
     return RtValue::makeInt(A.truthy() ? 0 : 1);
   case UnaryOp::IntToDouble:
-    return RtValue::makeDbl(static_cast<double>(A.I));
+    return RtValue::makeDbl(static_cast<double>(A.asInt()));
   case UnaryOp::DoubleToInt:
     if (A.K != RtValue::Kind::Dbl)
       return A;

@@ -224,7 +224,7 @@ private:
       return It->second;
     const RtValue &Cell = slot(Fr, V).Words[0];
     assert(Cell.K == RtValue::Kind::Ptr && "shared var has no cell");
-    return Cell.P;
+    return Cell.asPtr();
   }
 
   //===--------------------------------------------------------------------===
@@ -706,7 +706,7 @@ private:
       case CallPlacement::Home:
         return 0;
       case CallPlacement::AtNode: {
-        int64_t N = operandValue(Fr, C.PlacementArg).I;
+        int64_t N = operandValue(Fr, C.PlacementArg).asInt();
         if (N < 0)
           runtimeError("@node with negative index");
         // Logical index -> node through the pluggable distribution
@@ -743,12 +743,12 @@ private:
       return StepStatus::Continue;
     }
     case Intrinsic::IntSqrt: {
-      RtValue V = operandValue(Fr, C.Args[0]);
-      if (V.I < 0)
+      const int64_t V = operandValue(Fr, C.Args[0]).asInt();
+      if (V < 0)
         runtimeError("isqrt of negative value");
       VarSlot &Dst = slot(Fr, C.Result);
       Dst.Words[0] = RtValue::makeInt(
-          static_cast<int64_t>(std::sqrt(static_cast<double>(V.I))));
+          static_cast<int64_t>(std::sqrt(static_cast<double>(V))));
       Now += cost().StmtCost * 4;
       Dst.AvailAt = Now;
       return StepStatus::Continue;
@@ -756,7 +756,8 @@ private:
     case Intrinsic::Sqrt:
     case Intrinsic::Fabs: {
       RtValue V = operandValue(Fr, C.Args[0]);
-      double X = V.K == RtValue::Kind::Dbl ? V.D : static_cast<double>(V.I);
+      double X =
+          V.K == RtValue::Kind::Dbl ? V.D : static_cast<double>(V.asInt());
       if (C.Intrin == Intrinsic::Sqrt && X < 0)
         runtimeError("sqrt of negative value");
       VarSlot &Dst = slot(Fr, C.Result);
@@ -768,11 +769,11 @@ private:
       return StepStatus::Continue;
     }
     case Intrinsic::PMalloc: {
-      RtValue WordsV = operandValue(Fr, C.Args[0]);
-      if (WordsV.I <= 0)
+      const int64_t Words = operandValue(Fr, C.Args[0]).asInt();
+      if (Words <= 0)
         runtimeError("pmalloc of non-positive size");
       unsigned Node = targetNode();
-      GlobalAddr Addr = Mem.allocate(Node, static_cast<unsigned>(WordsV.I));
+      GlobalAddr Addr = Mem.allocate(Node, static_cast<unsigned>(Words));
       VarSlot &Dst = slot(Fr, C.Result);
       Dst.Words[0] = RtValue::makePtr(Addr);
       Now += cost().StmtCost * 2;
@@ -983,7 +984,7 @@ private:
           return StepStatus::BlockRetry;
         }
         Now += cost().StmtCost;
-        int64_t V = operandValue(Fr, Sw.Val).I;
+        int64_t V = operandValue(Fr, Sw.Val).asInt();
         const SeqStmt *Body = Sw.Default.get();
         for (const auto &C : Sw.Cases)
           if (C.Value == V) {

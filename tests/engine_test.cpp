@@ -18,6 +18,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 using namespace earthcc;
 
 namespace {
@@ -55,9 +58,25 @@ void expectIdentical(const EngineRun &Ast, const EngineRun &Bc,
   ASSERT_EQ(A.OK, B.OK) << What << ": " << A.Error << " / " << B.Error;
   EXPECT_EQ(A.Error, B.Error) << What;
   EXPECT_DOUBLE_EQ(A.TimeNs, B.TimeNs) << What;
+  // The exit value's kind, then exactly its active payload.
   EXPECT_EQ(A.ExitValue.K, B.ExitValue.K) << What;
-  EXPECT_EQ(A.ExitValue.I, B.ExitValue.I) << What;
-  EXPECT_DOUBLE_EQ(A.ExitValue.D, B.ExitValue.D) << What;
+  if (A.ExitValue.K == B.ExitValue.K) {
+    switch (A.ExitValue.K) {
+    case RtValue::Kind::Undef:
+      break;
+    case RtValue::Kind::Int:
+      EXPECT_EQ(A.ExitValue.I, B.ExitValue.I) << What;
+      break;
+    case RtValue::Kind::Dbl:
+      EXPECT_EQ(std::bit_cast<uint64_t>(A.ExitValue.D),
+                std::bit_cast<uint64_t>(B.ExitValue.D))
+          << What << ": " << A.ExitValue.D << " vs " << B.ExitValue.D;
+      break;
+    case RtValue::Kind::Ptr:
+      EXPECT_EQ(A.ExitValue.P.str(), B.ExitValue.P.str()) << What;
+      break;
+    }
+  }
   EXPECT_EQ(A.StepsExecuted, B.StepsExecuted) << What;
   EXPECT_EQ(A.Output, B.Output) << What;
   EXPECT_EQ(A.Counters.ReadData, B.Counters.ReadData) << What;
@@ -368,6 +387,117 @@ TEST(ActivationLifetimeTest, NestedParallelCallsMatchAcrossEngines) {
           expectIdentical(Ast, BcSw, What + "/dispatch=switch");
         }
       }
+    }
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// Step accounting: fuel and the EU quantum. The bytecode engine counts steps
+// per slice and settles them when the slice ends; the AST walker counts
+// every step as it goes. Sweeping the fuel over every step of a small
+// parallel program, under quanta around the default, puts the fuel's end at
+// every position a slice can reach: mid-slice, exactly where the quantum
+// preempts, and at the program's last step.
+//===----------------------------------------------------------------------===//
+
+TEST(StepAccountingTest, FuelAndQuantumMatchAcrossEngines) {
+  const char *Src = R"(
+    int f(int n) {
+      int s; int j;
+      s = 0;
+      for (j = 0; j < n; j = j + 1) { s = s + j; }
+      return s;
+    }
+    int main() {
+      shared int acc;
+      int i; int a; int b; int r;
+      writeto(&acc, 0);
+      forall (i = 0; i < 4; i = i + 1) {
+        a = f(i + 2)@node(i);
+        addto(&acc, a);
+      }
+      {^
+        a = f(20);
+        b = f(12)@node(1);
+      ^}
+      r = valueof(&acc);
+      return r + a + b;
+    }
+  )";
+  Pipeline P(workloadOptions(RunMode::Simple));
+  CompileResult CR = P.compile(Src);
+  ASSERT_TRUE(CR.OK) << CR.Messages;
+  uint64_t Unpreempted = 0;
+  for (unsigned Quantum : {0u, 1u, 2u, 63u, 64u, 65u}) {
+    MachineConfig MC = workloadMachine(RunMode::Simple, 4);
+    MC.EUQuantum = Quantum;
+    const std::string Q = "quantum=" + std::to_string(Quantum);
+    auto Full = runWith(P, *CR.M, MC, ExecEngine::AST);
+    ASSERT_TRUE(Full.R.OK) << Q << ": " << Full.R.Error;
+    const uint64_t Steps = Full.R.StepsExecuted;
+    // Every preemption bills the preempted step twice, so preemption shows
+    // in the step count.
+    if (Quantum == 0)
+      Unpreempted = Steps;
+    else
+      EXPECT_GT(Steps, Unpreempted) << Q;
+    for (uint64_t Fuel = 1; Fuel <= Steps + 1; ++Fuel) {
+      MC.MaxSteps = Fuel;
+      const std::string What = Q + "/max-steps=" + std::to_string(Fuel);
+      auto Ast = runWith(P, *CR.M, MC, ExecEngine::AST);
+      ASSERT_EQ(Ast.R.OK, Fuel >= Steps) << What << ": " << Ast.R.Error;
+      if (Ast.R.OK) {
+        ASSERT_EQ(Ast.R.StepsExecuted, Steps) << What;
+      } else {
+        ASSERT_NE(Ast.R.Error.find("step limit"), std::string::npos) << What;
+      }
+      for (BcDispatch D : {BcDispatch::ComputedGoto, BcDispatch::Switch}) {
+        auto Bc = runWith(P, *CR.M, MC, ExecEngine::Bytecode, D);
+        expectIdentical(Ast, Bc,
+                        What + (D == BcDispatch::Switch ? "/switch" : "/goto"));
+        if (::testing::Test::HasFailure())
+          return; // One divergence is enough; the rest would repeat it.
+      }
+    }
+  }
+}
+
+// Fibers are recycled once they finish. Ten thousand short-lived forall
+// iterations, each migrating to its node and back, must still number their
+// fibers by a running count and charge the same context switches under
+// every engine.
+TEST(FiberRecyclingTest, ShortLivedIterationsMatchAcrossEngines) {
+  const char *Src = R"(
+    int work(int i) { return i * 2; }
+    int main() {
+      shared int acc;
+      int i; int x; int r;
+      writeto(&acc, 0);
+      forall (i = 0; i < 10000; i = i + 1) {
+        x = work(i)@node(i);
+        addto(&acc, x);
+      }
+      r = valueof(&acc);
+      return r;
+    }
+  )";
+  Pipeline P(workloadOptions(RunMode::Optimized));
+  CompileResult CR = P.compile(Src);
+  ASSERT_TRUE(CR.OK) << CR.Messages;
+  for (unsigned Nodes : {1u, 4u}) {
+    MachineConfig MC = workloadMachine(RunMode::Optimized, Nodes);
+    const std::string What = std::to_string(Nodes) + "n";
+    auto Ast = runWith(P, *CR.M, MC, ExecEngine::AST);
+    ASSERT_TRUE(Ast.R.OK) << What << ": " << Ast.R.Error;
+    ASSERT_EQ(Ast.R.ExitValue.K, RtValue::Kind::Int);
+    EXPECT_EQ(Ast.R.ExitValue.I, 99990000) << What;
+    EXPECT_GT(Ast.R.Counters.CtxSwitches, 0u) << What;
+    // The last iteration's fiber is the 10,001st (the main fiber is 1).
+    EXPECT_NE(Ast.Trace.find("\"child\":10001}"), std::string::npos) << What;
+    for (BcDispatch D : {BcDispatch::ComputedGoto, BcDispatch::Switch}) {
+      auto Bc = runWith(P, *CR.M, MC, ExecEngine::Bytecode, D);
+      expectIdentical(Ast, Bc,
+                      What + (D == BcDispatch::Switch ? "/switch" : "/goto"));
     }
   }
 }

@@ -619,4 +619,38 @@ TEST(NestingLimitTest, C99MinimumsStillCompile) {
   compileOK(inMain("x = 1" + repeat(" + 1", 200) + ";"));
 }
 
+//===----------------------------------------------------------------------===//
+// Struct bodies: a token that cannot start a field is reported where it
+// stands and skipped, so the field loop always makes progress.
+//===----------------------------------------------------------------------===//
+
+TEST(StructBodyTest, StrayBraceGetsLocatedDiagnostic) {
+  DiagnosticsEngine Diags;
+  compileToSimple("struct B {\n {double r;\n};", Diags);
+  ASSERT_TRUE(Diags.hasErrors());
+  bool Found = false;
+  for (const Diagnostic &D : Diags.all()) {
+    EXPECT_EQ(D.Loc.Line, 2u) << D.str();
+    if (D.Message.find("unexpected token in struct 'B'") != std::string::npos) {
+      Found = true;
+      EXPECT_EQ(D.Loc.Col, 2u) << D.str();
+    }
+  }
+  EXPECT_TRUE(Found) << Diags.str();
+  // The stray brace is the only error: the field after it parses.
+  EXPECT_EQ(Diags.errorCount(), 1u) << Diags.str();
+}
+
+TEST(StructBodyTest, RunOfBadTokensTerminates) {
+  DiagnosticsEngine Diags;
+  compileToSimple("struct B { ) + { , = int x; ( };\nint main() { return 0; }",
+                  Diags);
+  // Six stray tokens, each reported once; the field between them parses.
+  EXPECT_EQ(Diags.errorCount(), 6u) << Diags.str();
+  for (const Diagnostic &D : Diags.all())
+    EXPECT_NE(D.Message.find("unexpected token in struct 'B'"),
+              std::string::npos)
+        << D.str();
+}
+
 } // namespace

@@ -9,8 +9,12 @@
 //===----------------------------------------------------------------------===//
 
 #include "driver/Pipeline.h"
+#include "interp/EngineCommon.h"
 
 #include <gtest/gtest.h>
+
+#include <cstdint>
+#include <type_traits>
 
 using namespace earthcc;
 
@@ -584,6 +588,126 @@ TEST(ErrorTest, MissingEntryFunction) {
       Pipeline().compileAndRun("int notmain() { return 0; }", machine(1));
   EXPECT_FALSE(R.OK);
   EXPECT_NE(R.Error.find("not found"), std::string::npos);
+}
+
+//===----------------------------------------------------------------------===//
+// Runtime values: operations applied to a value of the wrong kind. These
+// results are part of the simulated semantics (both engines share them), so
+// they are pinned here independently of how RtValue stores its payload.
+//===----------------------------------------------------------------------===//
+
+RtValue ptrAt(int32_t Node, uint32_t Offset) {
+  GlobalAddr A;
+  A.Node = Node;
+  A.Offset = Offset;
+  return RtValue::makePtr(A);
+}
+
+void expectInt(const RtValue &V, int64_t Want, const char *What) {
+  ASSERT_EQ(V.K, RtValue::Kind::Int) << What;
+  EXPECT_EQ(V.I, Want) << What;
+}
+
+void expectDbl(const RtValue &V, double Want, const char *What) {
+  ASSERT_EQ(V.K, RtValue::Kind::Dbl) << What;
+  EXPECT_EQ(V.D, Want) << What;
+}
+
+/// The failure message evalBinary raises for \p A Op \p B ("" if none).
+std::string binaryFailure(BinaryOp Op, const RtValue &A, const RtValue &B) {
+  try {
+    interp::evalBinary(Op, A, B);
+  } catch (const interp::RuntimeFailure &F) {
+    return F.Message;
+  }
+  return "";
+}
+
+TEST(RtValueTest, LayoutIsOneTaggedWord) {
+  static_assert(std::is_trivially_copyable_v<RtValue>);
+  EXPECT_EQ(sizeof(RtValue), 16u);
+  RtValue U;
+  EXPECT_TRUE(U.isUndef());
+  EXPECT_FALSE(U.truthy());
+  EXPECT_EQ(U.str(), "<undef>");
+}
+
+TEST(RtValueTest, UnaryOnMismatchedKinds) {
+  using interp::evalUnary;
+  // Neg of a pointer negates its (absent) integer payload.
+  expectInt(evalUnary(UnaryOp::Neg, ptrAt(1, 5)), 0, "neg ptr");
+  expectInt(evalUnary(UnaryOp::Neg, ptrAt(-1, 0)), 0, "neg null");
+  expectInt(evalUnary(UnaryOp::Neg, RtValue::makeInt(7)), -7, "neg int");
+  expectDbl(evalUnary(UnaryOp::Neg, RtValue::makeDbl(2.5)), -2.5, "neg dbl");
+  // IntToDouble converts the integer payload only: a double or a pointer
+  // operand has none and converts to 0.0.
+  expectDbl(evalUnary(UnaryOp::IntToDouble, RtValue::makeDbl(2.5)), 0.0,
+            "int->dbl of dbl");
+  expectDbl(evalUnary(UnaryOp::IntToDouble, ptrAt(2, 9)), 0.0,
+            "int->dbl of ptr");
+  expectDbl(evalUnary(UnaryOp::IntToDouble, RtValue::makeInt(-3)), -3.0,
+            "int->dbl of int");
+  // DoubleToInt passes non-doubles through unchanged.
+  RtValue P = evalUnary(UnaryOp::DoubleToInt, ptrAt(2, 9));
+  ASSERT_EQ(P.K, RtValue::Kind::Ptr);
+  EXPECT_EQ(P.P, ptrAt(2, 9).P);
+  expectInt(evalUnary(UnaryOp::DoubleToInt, RtValue::makeDbl(-2.75)), -2,
+            "dbl->int");
+  expectInt(evalUnary(UnaryOp::Not, ptrAt(-1, 0)), 1, "not null");
+  expectInt(evalUnary(UnaryOp::Not, RtValue::makeDbl(0.5)), 0, "not dbl");
+}
+
+TEST(RtValueTest, BinaryIntegerPaths) {
+  using interp::evalBinary;
+  const RtValue Five = RtValue::makeInt(5), Undef;
+  expectInt(evalBinary(BinaryOp::Add, Five, RtValue::makeInt(-9)), -4, "add");
+  expectInt(evalBinary(BinaryOp::Mul, RtValue::makeInt(INT64_MAX),
+                       RtValue::makeInt(2)),
+            -2, "mul wraps");
+  expectInt(evalBinary(BinaryOp::Div, RtValue::makeInt(INT64_MIN),
+                       RtValue::makeInt(-1)),
+            INT64_MIN, "min / -1");
+  expectInt(evalBinary(BinaryOp::Rem, RtValue::makeInt(-7),
+                       RtValue::makeInt(-1)),
+            0, "rem -1");
+  expectInt(evalBinary(BinaryOp::Rem, RtValue::makeInt(-7),
+                       RtValue::makeInt(3)),
+            -1, "rem");
+  // An undefined operand reads as integer 0 on the integer path.
+  expectInt(evalBinary(BinaryOp::Add, Five, Undef), 5, "add undef");
+  expectInt(evalBinary(BinaryOp::Sub, Undef, Five), -5, "undef sub");
+  expectInt(evalBinary(BinaryOp::Lt, Undef, Five), 1, "undef lt");
+  expectInt(evalBinary(BinaryOp::Or, Undef, Undef), 0, "undef or");
+  EXPECT_EQ(binaryFailure(BinaryOp::Div, Five, Undef),
+            "integer division by zero");
+  EXPECT_EQ(binaryFailure(BinaryOp::Rem, Five, RtValue::makeInt(0)),
+            "integer remainder by zero");
+  // Mixed int/double promotes the integer.
+  expectDbl(evalBinary(BinaryOp::Add, Five, RtValue::makeDbl(0.5)), 5.5,
+            "int + dbl");
+  expectDbl(evalBinary(BinaryOp::Sub, Undef, RtValue::makeDbl(0.5)), -0.5,
+            "undef - dbl");
+  // Pointers support only equality, against pointers or null-ish ints.
+  expectInt(evalBinary(BinaryOp::Eq, ptrAt(-1, 0), RtValue::makeInt(0)), 1,
+            "null == 0");
+  expectInt(evalBinary(BinaryOp::Eq, ptrAt(1, 2), RtValue::makeInt(0)), 0,
+            "ptr == 0");
+  expectInt(evalBinary(BinaryOp::Ne, RtValue::makeDbl(0.0), ptrAt(-1, 0)), 1,
+            "0.0 != null");
+  expectInt(evalBinary(BinaryOp::Eq, ptrAt(-1, 0), Undef), 0, "null == undef");
+  expectInt(evalBinary(BinaryOp::Eq, ptrAt(1, 2), ptrAt(1, 2)), 1, "ptr eq");
+  EXPECT_EQ(binaryFailure(BinaryOp::Add, ptrAt(1, 2), Five),
+            "invalid pointer arithmetic");
+}
+
+TEST(RtValueTest, Nullish) {
+  using interp::isNullish;
+  EXPECT_TRUE(isNullish(RtValue::makeInt(0)));
+  EXPECT_FALSE(isNullish(RtValue::makeInt(1)));
+  EXPECT_TRUE(isNullish(ptrAt(-1, 0)));
+  EXPECT_FALSE(isNullish(ptrAt(0, 1)));
+  EXPECT_FALSE(isNullish(RtValue::makeDbl(0.0)));
+  EXPECT_FALSE(isNullish(RtValue()));
 }
 
 } // namespace

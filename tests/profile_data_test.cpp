@@ -21,6 +21,7 @@
 #include "driver/ProfileData.h"
 #include "driver/ProfileReport.h"
 #include "support/CommProfiler.h"
+#include "support/Json.h"
 #include "workloads/Workloads.h"
 
 #include <gtest/gtest.h>
@@ -188,4 +189,52 @@ TEST(ProfileDataTest, DiffGoldenPowerOptOnVsOff) {
       << "profile diff diverged from golden; if the optimizer or the diff "
          "format changed intentionally, regenerate with "
          "EARTHCC_REGEN_GOLDEN=1";
+}
+
+// --profile=json carries the network block at full double precision: for
+// power on torus2d at 16 nodes its end time and every link's busy time and
+// utilization equal the profiler's own serialization exactly.
+TEST(ProfileDataTest, NetworkBlockKeepsFullPrecision) {
+  const Workload *W = findWorkload("power");
+  ASSERT_NE(W, nullptr);
+  Pipeline P(workloadOptions(RunMode::Optimized));
+  CompileResult CR = P.compile(W->Source);
+  ASSERT_TRUE(CR.OK) << CR.Messages;
+  CommProfiler Prof;
+  MachineConfig MC = workloadMachine(RunMode::Optimized, 16);
+  MC.Topo = Topology::Torus2D;
+  MC.Profiler = &Prof;
+  RunResult R = P.run(*CR.M, MC);
+  ASSERT_TRUE(R.OK) << R.Error;
+
+  /// The number text following "end_ns": in \p Doc.
+  auto endNsText = [](const std::string &Doc) {
+    size_t At = Doc.find("\"end_ns\": ");
+    EXPECT_NE(At, std::string::npos);
+    if (At == std::string::npos)
+      return std::string();
+    At += 10;
+    return Doc.substr(At, Doc.find_first_of(",}", At) - At);
+  };
+  std::string Report = profileReportJson(*CR.M, Prof, &CR.Remarks);
+  std::string Raw = Prof.json();
+  EXPECT_EQ(endNsText(Report), endNsText(Raw));
+  EXPECT_EQ(endNsText(Report), "1628180");
+
+  json::Value RV, PV;
+  std::string Err;
+  ASSERT_TRUE(json::parse(Report, RV, Err)) << Err;
+  ASSERT_TRUE(json::parse(Raw, PV, Err)) << Err;
+  const json::Value *RL = RV.find("network")->find("links");
+  const json::Value *PL = PV.find("network")->find("links");
+  ASSERT_TRUE(RL && PL);
+  ASSERT_EQ(RL->items().size(), PL->items().size());
+  ASSERT_FALSE(RL->items().empty());
+  for (size_t I = 0; I != RL->items().size(); ++I) {
+    const json::Value &A = RL->items()[I], &B = PL->items()[I];
+    EXPECT_EQ(A.getString("name", ""), B.getString("name", ""));
+    EXPECT_EQ(A.getNumber("busy_ns", -1), B.getNumber("busy_ns", -2)) << I;
+    EXPECT_EQ(A.getNumber("utilization", -1), B.getNumber("utilization", -2))
+        << I;
+  }
 }

@@ -15,8 +15,8 @@
 //    every stdout line is exactly one JSON object and the response ids are
 //    exactly the request ids.
 //  - Survival: requests the server must refuse (nesting past the parser's
-//    limit, retired option fields) get an error response, and the
-//    requests after them are still answered.
+//    limit, a malformed struct body, retired option fields) get an error
+//    response, and the requests after them are still answered.
 //
 //===----------------------------------------------------------------------===//
 
@@ -238,4 +238,25 @@ TEST(ServeStreamTest, RefusedRequestsLeaveTheServerRunning) {
   EXPECT_TRUE(Got[6].getBool("ok", false)) << Got[6].str();
   EXPECT_EQ(Got[6].find("exit")->str(), "6");
   EXPECT_EQ(Got[7].getString("op", ""), "shutdown");
+}
+
+TEST(ServeStreamTest, MalformedStructBodyIsAnsweredThenTheNextRequest) {
+  // A struct body whose field lacks a type once spun the parser forever
+  // while its memory grew; the worker must answer it with a located
+  // diagnostic and the server must go on to the next request.
+  std::string Stream;
+  Stream += runLine(1, "struct B {\n {double r;\n};", 0) + "\n";
+  Stream += runLine(2, Program, 3) + "\n";
+  Stream += "{\"id\":3,\"op\":\"shutdown\"}\n";
+
+  std::map<int, json::Value> Got =
+      byId(parseLines(runCli("--workers 2", Stream)));
+  ASSERT_EQ(Got.size(), 3u);
+  EXPECT_FALSE(Got[1].getBool("ok", true));
+  EXPECT_NE(Got[1].str().find("2:2: error: unexpected token in struct 'B'"),
+            std::string::npos)
+      << Got[1].str().substr(0, 300);
+  EXPECT_TRUE(Got[2].getBool("ok", false)) << Got[2].str();
+  EXPECT_EQ(Got[2].find("exit")->str(), "3");
+  EXPECT_EQ(Got[3].getString("op", ""), "shutdown");
 }
